@@ -1,6 +1,6 @@
 # Tier-1 verification lives in `make check`: build, vet, race-enabled
-# tests, plus a short fuzz smoke of the parameter-word codec. CI and
-# pre-commit should run exactly that.
+# tests, plus a short fuzz smoke of every fuzzer. CI and pre-commit
+# should run exactly that.
 
 GO ?= go
 BENCH_OUT ?= BENCH_pr8.json
@@ -117,10 +117,15 @@ chaos:
 	$(GO) test ./internal/scenario -run TestChaos -count=1 -v
 	$(GO) run ./cmd/lockstat -n 6 -iters 5 -faults 'stall:every=3:us=2500,crash:every=9' -degrade
 
-# Short fuzz smoke of the Params pack/unpack codec (raise -fuzztime for a
-# real fuzzing session).
+# Short fuzz smoke of every fuzzer: the Params pack/unpack codec, the
+# metrics exposition parser, and the lockd wire decoders held to
+# encoding/json (raise -fuzztime for a real fuzzing session). go test
+# fuzzes one target per run, hence one line each.
 fuzz:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParamsPackRoundtrip -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParamsPackRoundtrip$$' -fuzztime 5s
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 5s
+	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s
+	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s
 
 clean:
 	$(GO) clean ./...

@@ -14,11 +14,12 @@ import (
 // an actor. A cycle over the induced actor→actor relation ("A waits for
 // a lock held by B") is a suspected deadlock.
 //
-// Detection runs incrementally: every mutation that can close a cycle
-// re-walks the (small) graph, and each distinct cycle is counted once
-// while it stays closed — a cycle that persists across scrapes does not
-// re-increment the counter, but the same members deadlocking again
-// after a recovery do.
+// Detection runs incrementally: every mutation that can close or open a
+// cycle re-walks the (small) graph (AddWait, RemoveWait and SetHolder
+// skip the walk where it provably cannot change the result), and each
+// distinct cycle is counted once while it stays closed — a cycle that
+// persists across scrapes does not re-increment the counter, but the
+// same members deadlocking again after a recovery do.
 type Graph struct {
 	mu      sync.Mutex
 	waits   map[string]map[string]bool // actor → set of lock names awaited
@@ -82,7 +83,11 @@ func (g *Graph) AddWait(actor, lock string) {
 		g.waits[actor] = set
 	}
 	set[lock] = true
-	g.detectLocked()
+	if g.holders[lock] != "" {
+		// A wait on a free lock adds no actor→actor edge: the scan
+		// would see the graph it last saw.
+		g.detectLocked()
+	}
 	g.mu.Unlock()
 }
 
@@ -98,7 +103,11 @@ func (g *Graph) RemoveWait(actor, lock string) {
 			delete(g.waits, actor)
 		}
 	}
-	g.detectLocked() // open cycles retire from the active set
+	if len(g.active) > 0 {
+		// Open cycles retire from the active set. Without one the graph
+		// was acyclic, and removing an edge keeps it so.
+		g.detectLocked()
+	}
 	g.mu.Unlock()
 }
 
@@ -114,7 +123,13 @@ func (g *Graph) SetHolder(lock, actor string) {
 	} else {
 		g.holders[lock] = actor
 	}
-	g.detectLocked()
+	// From an acyclic graph, freeing a lock only removes edges, and a
+	// new holder that waits on nothing has no edge out to close a cycle
+	// through: the scan is needed only when a cycle is open or the new
+	// holder is itself blocked.
+	if len(g.active) > 0 || len(g.waits[actor]) > 0 {
+		g.detectLocked()
+	}
 	g.mu.Unlock()
 }
 

@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -156,4 +158,123 @@ func TestGraphNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = g.Snapshot()
+}
+
+// graphOp is one mutation in an early-out scenario; scan says whether
+// it must walk the graph (false: the early-out must skip the walk).
+type graphOp struct {
+	op          string // "wait", "unwait", "hold"
+	actor, lock string
+	scan        bool
+}
+
+func (o graphOp) apply(g *Graph) {
+	switch o.op {
+	case "wait":
+		g.AddWait(o.actor, o.lock)
+	case "unwait":
+		g.RemoveWait(o.actor, o.lock)
+	case "hold":
+		g.SetHolder(o.lock, o.actor)
+	}
+}
+
+// TestGraphEarlyOuts runs one scenario per early-out: each skips the
+// walk where it provably cannot change the result (a skipped walk leaves
+// the active-cycle map in place; a walk always replaces it), and the
+// cycle the scenario closes afterwards is still detected.
+func TestGraphEarlyOuts(t *testing.T) {
+	cases := []struct {
+		name, cycle string
+		ops         []graphOp
+	}{
+		{"remove-edge-while-acyclic", "A,B", []graphOp{
+			{"hold", "A", "l1", false},
+			{"hold", "B", "l2", false},
+			{"wait", "B", "l1", true},
+			{"unwait", "B", "l1", false},
+			{"hold", "", "l2", false},
+			{"hold", "B", "l2", false},
+			{"wait", "B", "l1", true},
+			{"wait", "A", "l2", true}, // closes A→B→A
+		}},
+		{"wait-on-free-lock", "A,B", []graphOp{
+			{"wait", "A", "l2", false},
+			{"hold", "A", "l1", true}, // A is blocked
+			{"wait", "B", "l1", true},
+			{"hold", "B", "l2", true}, // B is blocked: closes A→B→A
+		}},
+		{"new-holder-waits-on-nothing", "B,C", []graphOp{
+			{"hold", "A", "l1", false},
+			{"wait", "B", "l1", true},
+			{"hold", "C", "l1", false}, // B→A becomes B→C
+			{"hold", "B", "l2", true},
+			{"wait", "C", "l2", true}, // closes B→C→B
+			{"hold", "D", "l3", true}, // a cycle is open: no early-out
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewGraph()
+			for i, op := range c.ops {
+				before := reflect.ValueOf(g.active).Pointer()
+				op.apply(g)
+				if scanned := reflect.ValueOf(g.active).Pointer() != before; scanned != op.scan {
+					t.Fatalf("op %d %+v: scanned = %v, want %v", i, op, scanned, op.scan)
+				}
+			}
+			if cycles := g.Cycles(); len(cycles) != 1 || strings.Join(cycles[0], ",") != c.cycle {
+				t.Fatalf("cycles = %v, want one cycle %s", cycles, c.cycle)
+			}
+			if n := g.DeadlockSuspected(); n != 1 {
+				t.Fatalf("suspected = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestGraphEarlyOutsMatchFullScan drives a graph with the early-outs and
+// a reference that walks after every mutation through the same random
+// history, comparing the open cycles and the suspicion count at every
+// step. Each actor waits on at most one lock, so every actor has at
+// most one outgoing edge, the cycles are disjoint and a walk finds all
+// of them whatever order it visits the map in.
+func TestGraphEarlyOutsMatchFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	actors := []string{"A", "B", "C", "D"}
+	locks := []string{"l1", "l2", "l3", "l4"}
+	g, ref := NewGraph(), NewGraph()
+	waiting := map[string]string{}
+	for step := 0; step < 5000; step++ {
+		a, l := actors[rng.Intn(len(actors))], locks[rng.Intn(len(locks))]
+		var op graphOp
+		switch rng.Intn(3) {
+		case 0:
+			if waiting[a] != "" {
+				op = graphOp{op: "unwait", actor: a, lock: waiting[a]}
+				delete(waiting, a)
+			} else {
+				op = graphOp{op: "wait", actor: a, lock: l}
+				waiting[a] = l
+			}
+		case 1:
+			op = graphOp{op: "hold", actor: a, lock: l}
+		case 2:
+			op = graphOp{op: "hold", lock: l}
+		}
+		op.apply(g)
+		op.apply(ref)
+		ref.mu.Lock()
+		ref.detectLocked()
+		ref.mu.Unlock()
+		if got, want := g.Cycles(), ref.Cycles(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d %+v: cycles %v, full scan %v", step, op, got, want)
+		}
+		if got, want := g.DeadlockSuspected(), ref.DeadlockSuspected(); got != want {
+			t.Fatalf("step %d %+v: suspected %d, full scan %d", step, op, got, want)
+		}
+	}
+	if ref.DeadlockSuspected() == 0 {
+		t.Fatal("the random history closed no cycle; the comparison proved nothing")
+	}
 }

@@ -329,26 +329,39 @@ func (j *Journal) run() {
 }
 
 // drain empties every shard into the active segment, emitting a
-// KindDrops marker wherever a ring overflowed since the last drain.
+// KindDrops marker wherever a ring overflowed since the last drain: in
+// front of the first record pushed after the loss, so a reader never
+// meets a record that followed a gap before learning of the gap.
 func (j *Journal) drain() {
 	var rec Record
 	for _, sh := range j.shards {
 		for sh.pop(&rec) {
+			if sh.gapBefore(rec.Seq) {
+				j.writeDrops(sh)
+			}
 			j.writeEvent(&rec)
 		}
-		if n := sh.takeDropped(); n > 0 {
-			j.dropped.Add(n) // charge the cumulative counter off the hot path
-			j.writeEvent(&Record{
-				Kind:  KindDrops,
-				AtNs:  time.Now().UnixNano(),
-				HLC:   j.cfg.Clock.Now(),
-				DurNs: int64(n),
-			})
-		}
+		j.writeDrops(sh)
 	}
 	if j.cfg.Sync {
 		j.syncFile()
 	}
+}
+
+// writeDrops writes a KindDrops marker for the records sh lost since the
+// last one, if any.
+func (j *Journal) writeDrops(sh *shard) {
+	n := sh.takeDropped()
+	if n == 0 {
+		return
+	}
+	j.dropped.Add(n) // charge the cumulative counter off the hot path
+	j.writeEvent(&Record{
+		Kind:  KindDrops,
+		AtNs:  time.Now().UnixNano(),
+		HLC:   j.cfg.Clock.Now(),
+		DurNs: int64(n),
+	})
 }
 
 // writeEvent appends one event frame, interleaving name frames for ids

@@ -1,12 +1,15 @@
 package journal
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/causal"
+	"repro/internal/native"
 )
 
 // openTest opens a journal in a temp dir with a fast flush tick.
@@ -127,6 +130,49 @@ func TestRingOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestDropsMarkerPrecedesGap: when the writer drains records pushed
+// after an overflow in the same pass as records pushed before it, the
+// drops marker sits exactly between them, so a reader learns of the
+// loss before it meets any record that followed it.
+func TestDropsMarkerPrecedesGap(t *testing.T) {
+	j := openTest(t, func(c *Config) {
+		c.ShardCap = 64
+		c.Shards = 1
+		c.FlushEvery = time.Hour // the test drains by hand until Flush
+	})
+	lock := j.InternLock("gap")
+	for i := 0; i < 64+5; i++ { // fill the ring, then lose 5
+		j.Append(Record{Kind: KindAcquire, AtNs: int64(i), Lock: lock})
+	}
+	// Free room as a drain would, then push past the gap.
+	var rec Record
+	for i := 0; i < 10; i++ {
+		if !j.shards[0].pop(&rec) {
+			t.Fatal("ring unexpectedly empty")
+		}
+	}
+	for i := 0; i < 10; i++ {
+		j.Append(Record{Kind: KindAcquire, AtNs: int64(100 + i), Lock: lock})
+	}
+	j.Flush()
+	entries, _, err := ReadDir(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, e := range entries {
+		switch {
+		case e.Kind == KindDrops:
+			order = append(order, fmt.Sprintf("drops(%d)", e.DurNs))
+		case e.Seq == 63 || e.Seq == 64:
+			order = append(order, fmt.Sprintf("seq%d", e.Seq))
+		}
+	}
+	if got := strings.Join(order, " "); got != "seq63 drops(5) seq64" {
+		t.Fatalf("journal order around the gap: %s, want seq63 drops(5) seq64", got)
+	}
+}
+
 func TestConcurrentProducers(t *testing.T) {
 	j := openTest(t, func(c *Config) { c.ShardCap = 1 << 14 })
 	const goroutines, per = 8, 500
@@ -159,6 +205,60 @@ func TestConcurrentProducers(t *testing.T) {
 		}
 		seen[e.Seq] = true
 	}
+}
+
+// TestNativeReleaseJournaledBeforeHandoff: two goroutines ping-pong
+// one journaled native.Mutex. Each release must reach the journal before
+// the next owner's grant, on the queued handoff and on the free-lock
+// fast path alike, so Verify reads the history without a double grant.
+// The sink pauses before journaling a release, as a sink that blocks
+// briefly would, which widens the window in which a release emitted
+// after the handoff loses the race to the next grant.
+func TestNativeReleaseJournaledBeforeHandoff(t *testing.T) {
+	j := openTest(t, func(c *Config) {
+		c.ShardCap = 1 << 15 // room for every record: no drop relaxes Verify
+		c.MaxSegments = -1
+	})
+	m := native.MustNew(native.CombinedPolicy, native.FIFO)
+	m.SetEventSink(pausingSink{j.Sink("pingpong")})
+	const goroutines, per = 2, 500
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m.Lock()
+				m.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	j.Flush()
+	if d := j.Stats().Dropped; d != 0 {
+		t.Fatalf("journal dropped %d records; the check needs all of them", d)
+	}
+	entries, _, err := ReadDir(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Verify([]ProcEntries{{Proc: "pingpong", Entries: entries}})
+	if rep.Grants != goroutines*per || rep.Releases != goroutines*per {
+		t.Fatalf("journaled %d grants and %d releases, want %d each", rep.Grants, rep.Releases, goroutines*per)
+	}
+	if !rep.Ok() {
+		t.Fatalf("%d violations, first: %s (contended acquisitions: %d)",
+			len(rep.Violations), rep.Violations[0], m.Stats().Contended)
+	}
+}
+
+type pausingSink struct{ native.EventSink }
+
+func (s pausingSink) LockEvent(e native.LockEvent) {
+	if e.Kind == native.EventRelease {
+		time.Sleep(20 * time.Microsecond)
+	}
+	s.EventSink.LockEvent(e)
 }
 
 func TestTornTailRecovery(t *testing.T) {

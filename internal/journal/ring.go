@@ -12,8 +12,13 @@ type shard struct {
 	_       [56]byte // keep enq off the consumer's cache line
 	deq     uint64   // consumer-only
 	dropped atomic.Uint64
-	mask    uint64
-	slots   []ringSlot
+	// gap is 1 + the reservation position at which the first drop the
+	// writer has not yet reported happened (0: none): every record
+	// below it was pushed before the loss, every record from it on
+	// after, so the writer puts its drops marker right there.
+	gap   atomic.Uint64
+	mask  uint64
+	slots []ringSlot
 }
 
 type ringSlot struct {
@@ -53,7 +58,7 @@ func (sh *shard) push(rec *Record) bool {
 		case seq < pos:
 			// The slot is still occupied by an entry the consumer has
 			// not drained: the ring is full.
-			sh.dropped.Add(1)
+			sh.drop(pos)
 			return false
 		default:
 			// Another producer advanced enq between our loads; retry.
@@ -61,13 +66,34 @@ func (sh *shard) push(rec *Record) bool {
 	}
 }
 
-// full reports whether the next reservation would find the ring full —
-// a producer-side peek so saturated callers can shed before building a
-// record. Benign race: a verdict stale by one drain shifts a single
-// record between the ring and the drop count, both of which are exact.
-func (sh *shard) full() bool {
+// shed reports whether the next reservation would find the ring full,
+// counting the record dropped if so — a producer-side peek so saturated
+// callers can shed before building a record. Benign race: a verdict
+// stale by one drain shifts a single record between the ring and the
+// drop count, both of which are exact.
+func (sh *shard) shed() bool {
 	pos := sh.enq.Load()
-	return sh.slots[pos&sh.mask].seq.Load() < pos
+	if sh.slots[pos&sh.mask].seq.Load() >= pos {
+		return false
+	}
+	sh.drop(pos)
+	return true
+}
+
+// drop counts one record lost to a full ring at reservation position
+// pos, and marks pos as the gap if no unreported gap precedes it.
+func (sh *shard) drop(pos uint64) {
+	sh.dropped.Add(1)
+	if sh.gap.Load() == 0 {
+		sh.gap.CompareAndSwap(0, pos+1)
+	}
+}
+
+// gapBefore reports whether the record at ring position seq follows an
+// unreported drop. Consumer-only.
+func (sh *shard) gapBefore(seq uint64) bool {
+	g := sh.gap.Load()
+	return g != 0 && seq+1 >= g
 }
 
 // pop drains one record. Consumer-only. Returns false when the ring is
@@ -86,7 +112,11 @@ func (sh *shard) pop(rec *Record) bool {
 	return true
 }
 
-// takeDropped returns and resets the drop counter.
+// takeDropped returns and resets the drop counter and the gap.
+// Consumer-only. The gap is cleared first: a drop racing in between
+// records a fresh gap whose count this call may already take, which
+// only puts its marker early, never after records that followed it.
 func (sh *shard) takeDropped() uint64 {
+	sh.gap.Store(0)
 	return sh.dropped.Swap(0)
 }

@@ -57,8 +57,7 @@ func (s *Sink) LockEvent(e native.LockEvent) {
 		return
 	}
 	sh := j.shards[s.lock&j.shardMask]
-	if sh.full() {
-		sh.dropped.Add(1)
+	if sh.shed() {
 		return
 	}
 	rec := Record{

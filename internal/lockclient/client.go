@@ -14,8 +14,9 @@
 package lockclient
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -162,7 +163,7 @@ type Client struct {
 
 	mu         sync.Mutex
 	conn       net.Conn
-	enc        *json.Encoder
+	wbuf       []byte // reused request line buffer, under mu
 	session    uint64
 	lease      time.Duration
 	nextID     uint64
@@ -403,7 +404,6 @@ func (c *Client) reconnect(ctx context.Context) error {
 		}
 		c.mu.Lock()
 		c.conn = conn
-		c.enc = json.NewEncoder(conn)
 		c.mu.Unlock()
 		go c.readLoop(conn)
 
@@ -487,7 +487,6 @@ func (c *Client) dropConn(conn net.Conn) {
 		return
 	}
 	c.conn = nil
-	c.enc = nil
 	pend := c.pend
 	c.pend = make(map[uint64]chan lockd.Response)
 	c.mu.Unlock()
@@ -498,10 +497,18 @@ func (c *Client) dropConn(conn net.Conn) {
 
 // readLoop demultiplexes responses by ID until conn dies.
 func (c *Client) readLoop(conn net.Conn) {
-	dec := json.NewDecoder(conn)
+	br := bufio.NewReader(conn)
 	for {
+		line, err := lockd.ReadLine(br, 0)
+		if err != nil {
+			c.dropConn(conn)
+			return
+		}
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
 		var resp lockd.Response
-		if err := dec.Decode(&resp); err != nil {
+		if err := lockd.ParseResponse(line, &resp); err != nil {
 			c.dropConn(conn)
 			return
 		}
@@ -539,7 +546,8 @@ func (c *Client) Call(ctx context.Context, req lockd.Request) (lockd.Response, e
 	ch := make(chan lockd.Response, 1)
 	c.pend[req.ID] = ch
 	sentNs := c.o.Clock.PhysNow()
-	err := c.enc.Encode(req)
+	c.wbuf = lockd.AppendRequest(c.wbuf[:0], &req)
+	_, err := conn.Write(c.wbuf)
 	c.mu.Unlock()
 	if err != nil {
 		c.mu.Lock()

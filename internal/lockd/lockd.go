@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -464,8 +463,10 @@ func (s *Server) serveConn(c net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 
-	var wmu sync.Mutex
-	enc := json.NewEncoder(c)
+	var (
+		wmu  sync.Mutex
+		wbuf []byte // the connection's reused reply buffer, under wmu
+	)
 	reply := func(r Response) {
 		// Stamp the reply with the server's HLC and raw wall reading:
 		// the former closes the causal loop at the caller, the latter
@@ -474,7 +475,8 @@ func (s *Server) serveConn(c net.Conn) {
 		r.WallNs = s.cfg.Clock.PhysNow()
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err := enc.Encode(r); err != nil {
+		wbuf = AppendResponse(wbuf[:0], &r)
+		if _, err := c.Write(wbuf); err != nil {
 			// The peer is gone (or a fault injector dropped the conn);
 			// the read loop will notice and unwind.
 			s.logf("lockd: write to %s: %v", c.RemoteAddr(), err)
@@ -484,7 +486,7 @@ func (s *Server) serveConn(c net.Conn) {
 	var pending sync.WaitGroup
 	br := bufio.NewReaderSize(c, 4096)
 	for {
-		line, err := readLine(br, maxLineBytes)
+		line, err := ReadLine(br, maxLineBytes)
 		if err == errLineTooLong {
 			// A protocol error, not connection death: the oversized line
 			// has been consumed, so the conn keeps serving.
@@ -498,7 +500,7 @@ func (s *Server) serveConn(c net.Conn) {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := ParseRequest(line, &req); err != nil {
 			reply(Response{ID: req.ID, Code: CodeBadRequest, Err: "malformed request: " + err.Error()})
 			continue
 		}
@@ -539,49 +541,6 @@ func (s *Server) serveConn(c net.Conn) {
 
 // maxLineBytes bounds one wire request line.
 const maxLineBytes = 1 << 20
-
-// errLineTooLong marks a request line exceeding maxLineBytes; the line
-// is fully consumed so the connection can keep serving.
-var errLineTooLong = errors.New("lockd: request line too long")
-
-// readLine reads one newline-terminated line of at most max bytes. An
-// oversized line is drained to its newline and reported as
-// errLineTooLong — a typed protocol error rather than connection death
-// (bufio.Scanner's ErrTooLong would end the read loop). Any other error
-// is a real I/O condition and ends the connection.
-func readLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		switch err {
-		case nil:
-			if line == nil {
-				return frag, nil
-			}
-			line = append(line, frag...)
-			if len(line) > max {
-				return nil, errLineTooLong
-			}
-			return line, nil
-		case bufio.ErrBufferFull:
-			line = append(line, frag...)
-			if len(line) > max {
-				// Discard the remainder of the oversized line.
-				for {
-					_, err := br.ReadSlice('\n')
-					if err == nil {
-						return nil, errLineTooLong
-					}
-					if err != bufio.ErrBufferFull {
-						return nil, err
-					}
-				}
-			}
-		default:
-			return nil, err
-		}
-	}
-}
 
 // handle serves the fast (non-blocking) operations.
 func (s *Server) handle(req Request) Response {

@@ -1,17 +1,42 @@
 package lockd
 
 import (
+	"bufio"
+	"encoding/base64"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/native"
 )
 
-// This file is the wire protocol shared by the lockd server and
-// internal/lockclient: newline-delimited JSON, one Request per line from
-// the client, one Response per line from the server. Responses carry the
-// request's ID and may arrive out of order (the server answers fast
-// operations inline but blocks acquisitions on their own goroutines), so
-// clients demultiplex by ID.
+// This file is the wire protocol and its one codec, spoken by all three
+// parties on a lockd socket: the server (serveConn), internal/lockclient,
+// and internal/replica's peer links. A connection carries
+// newline-delimited JSON: one Request per line from the caller, one
+// Response per line from the server. Responses carry the request's ID
+// and may arrive out of order (the server answers fast operations inline
+// but blocks acquisitions on their own goroutines), so callers
+// demultiplex by ID.
+//
+// The codec (AppendRequest/ParseRequest, AppendResponse/ParseResponse,
+// ReadLine) is hand-written so a message costs no reflection and almost
+// no allocation: encoders append into a caller-owned buffer reused per
+// connection, and the decoders walk the canonical line in place. It is
+// byte-identical to encoding/json — the encoders write exactly what
+// json.Marshal writes, and the decoders accept, reject and decode
+// exactly what json.Unmarshal does. That keeps the wire itself
+// unchanged: external clients that speak plain JSON, and tools that read
+// the `{"id":N,"op":"..."` prefix of each line or count messages by
+// newline, see the same bytes. The rare constructs the hand-written
+// paths skip (escaped or non-ASCII strings, case-folded or unknown keys,
+// null, exotic numbers, stat bodies) go through encoding/json inside
+// the codec, for that value or that line only; the package's fuzzers
+// hold both directions equal to encoding/json. A binary length-prefixed
+// frame would be cheaper still, but it changes the bytes on the wire, so
+// it waits until the repository benchmark's probes can parse it.
 
 // Operation names.
 const (
@@ -246,4 +271,562 @@ func ParseScheduler(s string) (native.Scheduler, error) {
 		return native.Handoff, nil
 	}
 	return 0, fmt.Errorf("lockd: unknown scheduler %q (want %s)", s, SchedulerNames)
+}
+
+// AppendRequest appends r's wire line — exactly json.Marshal(r)
+// followed by '\n' — to dst and returns the extended buffer.
+func AppendRequest(dst []byte, r *Request) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, r.ID, 10)
+	dst = append(dst, `,"op":`...)
+	dst = appendString(dst, r.Op)
+	dst = appendUintField(dst, `,"session":`, r.Session)
+	dst = appendStringField(dst, `,"lock":`, r.Lock)
+	dst = appendStringField(dst, `,"client":`, r.Client)
+	dst = appendIntField(dst, `,"lease_ms":`, r.LeaseMs)
+	dst = appendIntField(dst, `,"wait_ms":`, r.WaitMs)
+	dst = appendStringField(dst, `,"wait_hint":`, r.WaitHint)
+	dst = appendIntField(dst, `,"prio":`, r.Prio)
+	dst = appendIntField(dst, `,"attempt":`, int64(r.Attempt))
+	dst = appendStringField(dst, `,"trace_id":`, r.TraceID)
+	dst = appendStringField(dst, `,"parent_span":`, r.ParentSpan)
+	dst = appendUintField(dst, `,"hlc":`, r.HLC)
+	dst = appendUintField(dst, `,"token":`, r.Token)
+	dst = appendStringField(dst, `,"policy":`, r.Policy)
+	dst = appendStringField(dst, `,"sched":`, r.Sched)
+	dst = appendUintField(dst, `,"term":`, r.Term)
+	dst = appendIntField(dst, `,"from":`, int64(r.From))
+	dst = appendStringField(dst, `,"leader_addr":`, r.LeaderAddr)
+	dst = appendUintField(dst, `,"prev_index":`, r.PrevIndex)
+	dst = appendUintField(dst, `,"prev_term":`, r.PrevTerm)
+	if len(r.Entries) > 0 {
+		dst = append(dst, `,"entries":[`...)
+		for i, e := range r.Entries {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"term":`...)
+			dst = strconv.AppendUint(dst, e.Term, 10)
+			dst = append(dst, `,"frames":`...)
+			if e.Frames == nil {
+				dst = append(dst, "null"...)
+			} else {
+				dst = append(dst, '"')
+				dst = base64.StdEncoding.AppendEncode(dst, e.Frames)
+				dst = append(dst, '"')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendUintField(dst, `,"log_len":`, r.LogLen)
+	dst = appendUintField(dst, `,"last_term":`, r.LastTerm)
+	return append(dst, '}', '\n')
+}
+
+// AppendResponse appends r's wire line — exactly json.Marshal(r)
+// followed by '\n' — to dst and returns the extended buffer.
+func AppendResponse(dst []byte, r *Response) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, r.ID, 10)
+	if r.OK {
+		dst = append(dst, `,"ok":true`...)
+	} else {
+		dst = append(dst, `,"ok":false`...)
+	}
+	dst = appendStringField(dst, `,"code":`, r.Code)
+	dst = appendStringField(dst, `,"err":`, r.Err)
+	dst = appendUintField(dst, `,"session":`, r.Session)
+	dst = appendIntField(dst, `,"lease_ms":`, r.LeaseMs)
+	dst = appendBoolField(dst, `,"resumed":true`, r.Resumed)
+	dst = appendUintField(dst, `,"token":`, r.Token)
+	dst = appendBoolField(dst, `,"recovered":true`, r.Recovered)
+	dst = appendIntField(dst, `,"retry_after_ms":`, r.RetryAfterMs)
+	dst = appendBoolField(dst, `,"pending":true`, r.Pending)
+	if r.Stat != nil {
+		// A stat body is rare and unbounded: encoding/json writes it.
+		b, _ := json.Marshal(r.Stat) // cannot fail: ints, strings and bools only
+		dst = append(dst, `,"stat":`...)
+		dst = append(dst, b...)
+	}
+	dst = appendStringField(dst, `,"server_span":`, r.ServerSpan)
+	dst = appendUintField(dst, `,"hlc":`, r.HLC)
+	dst = appendIntField(dst, `,"wall_ns":`, r.WallNs)
+	dst = appendUintField(dst, `,"term":`, r.Term)
+	dst = appendUintField(dst, `,"next_index":`, r.NextIndex)
+	dst = appendStringField(dst, `,"leader_addr":`, r.LeaderAddr)
+	return append(dst, '}', '\n')
+}
+
+// The append*Field helpers write one omitempty member: key is the
+// member's `,"name":` prefix, and a zero value writes nothing.
+
+func appendUintField(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+func appendIntField(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendStringField(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return appendString(append(dst, key...), s)
+}
+
+// appendBoolField writes member (`,"name":true`) when v is set.
+func appendBoolField(dst []byte, member string, v bool) []byte {
+	if !v {
+		return dst
+	}
+	return append(dst, member...)
+}
+
+// appendString writes s as a JSON string. Printable ASCII that
+// encoding/json passes through unescaped is copied directly; anything
+// else (quotes, backslashes, control bytes, HTML's <>&, non-ASCII and
+// invalid UTF-8) is rare on this wire and left to json.Marshal, so the
+// escaping rules live in one place.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !plain[c] || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // cannot fail for a string
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// ParseRequest decodes one wire line (a trailing newline is allowed)
+// into r, overwriting it. It accepts and rejects exactly what
+// json.Unmarshal does and yields the same value: the canonical form is
+// walked in place, and any other line is handed whole to json.Unmarshal,
+// whose error is returned unchanged.
+func ParseRequest(line []byte, r *Request) error {
+	*r = Request{}
+	if parseRequest(line, r) {
+		return nil
+	}
+	// json.Unmarshal needs a value of its own on the heap; only this
+	// rare path pays for it, so the caller's r can stay on its stack.
+	v := new(Request)
+	err := json.Unmarshal(line, v)
+	*r = *v
+	return err
+}
+
+// ParseResponse is ParseRequest for a response line.
+func ParseResponse(line []byte, r *Response) error {
+	*r = Response{}
+	if parseResponse(line, r) {
+		return nil
+	}
+	// json.Unmarshal needs a value of its own on the heap; only this
+	// rare path pays for it, so the caller's r can stay on its stack.
+	v := new(Response)
+	err := json.Unmarshal(line, v)
+	*r = *v
+	return err
+}
+
+func parseRequest(line []byte, r *Request) bool {
+	s := scanner{b: line}
+	if !s.lit('{') {
+		return false
+	}
+	for {
+		switch string(s.key()) {
+		case "id":
+			r.ID = s.uint()
+		case "op":
+			r.Op = s.op()
+		case "session":
+			r.Session = s.uint()
+		case "lock":
+			r.Lock = s.string()
+		case "client":
+			r.Client = s.string()
+		case "lease_ms":
+			r.LeaseMs = s.int64()
+		case "wait_ms":
+			r.WaitMs = s.int64()
+		case "wait_hint":
+			r.WaitHint = s.string()
+		case "prio":
+			r.Prio = s.int64()
+		case "attempt":
+			r.Attempt = s.int()
+		case "trace_id":
+			r.TraceID = s.string()
+		case "parent_span":
+			r.ParentSpan = s.string()
+		case "hlc":
+			r.HLC = s.uint()
+		case "token":
+			r.Token = s.uint()
+		case "policy":
+			r.Policy = s.string()
+		case "sched":
+			r.Sched = s.string()
+		case "term":
+			r.Term = s.uint()
+		case "from":
+			r.From = s.int()
+		case "leader_addr":
+			r.LeaderAddr = s.string()
+		case "prev_index":
+			r.PrevIndex = s.uint()
+		case "prev_term":
+			r.PrevTerm = s.uint()
+		case "entries":
+			if r.Entries != nil {
+				// A repeated key: json.Unmarshal decodes into the
+				// first array's elements, merging the two.
+				return false
+			}
+			r.Entries = s.entries()
+		case "log_len":
+			r.LogLen = s.uint()
+		case "last_term":
+			r.LastTerm = s.uint()
+		default:
+			// Unknown, case-folded or malformed key: json.Unmarshal
+			// decides (it ignores, folds or rejects).
+			return false
+		}
+		if !s.next() {
+			return s.done()
+		}
+	}
+}
+
+func parseResponse(line []byte, r *Response) bool {
+	s := scanner{b: line}
+	if !s.lit('{') {
+		return false
+	}
+	for {
+		switch string(s.key()) {
+		case "id":
+			r.ID = s.uint()
+		case "ok":
+			r.OK = s.bool()
+		case "code":
+			r.Code = s.code()
+		case "err":
+			r.Err = s.string()
+		case "session":
+			r.Session = s.uint()
+		case "lease_ms":
+			r.LeaseMs = s.int64()
+		case "resumed":
+			r.Resumed = s.bool()
+		case "token":
+			r.Token = s.uint()
+		case "recovered":
+			r.Recovered = s.bool()
+		case "retry_after_ms":
+			r.RetryAfterMs = s.int64()
+		case "pending":
+			r.Pending = s.bool()
+		case "server_span":
+			r.ServerSpan = s.string()
+		case "hlc":
+			r.HLC = s.uint()
+		case "wall_ns":
+			r.WallNs = s.int64()
+		case "term":
+			r.Term = s.uint()
+		case "next_index":
+			r.NextIndex = s.uint()
+		case "leader_addr":
+			r.LeaderAddr = s.string()
+		default:
+			// Unknown, case-folded or malformed keys, and the rare
+			// stat body: json.Unmarshal decodes the line.
+			return false
+		}
+		if !s.next() {
+			return s.done()
+		}
+	}
+}
+
+// scanner walks one line in the canonical form encoding/json writes: no
+// whitespace before the closing brace, keys and strings of printable
+// ASCII without escapes, plain integers. Anything else sets bad, and
+// the caller hands the line to json.Unmarshal instead.
+type scanner struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+// lit consumes c if it is next.
+func (s *scanner) lit(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// key consumes `"name":` and returns name; nil on anything else.
+func (s *scanner) key() []byte {
+	k := s.raw()
+	if !s.lit(':') {
+		s.bad = true
+	}
+	if s.bad {
+		return nil
+	}
+	return k
+}
+
+// next consumes the ',' between members and reports whether another
+// member follows; false leaves the scanner at the closing brace (or a
+// syntax error done rejects).
+func (s *scanner) next() bool {
+	return !s.bad && s.lit(',')
+}
+
+// done reports whether the object closes cleanly and only JSON
+// whitespace (the line's newline) follows.
+func (s *scanner) done() bool {
+	if s.bad || !s.lit('}') {
+		return false
+	}
+	for _, c := range s.b[s.i:] {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return false
+		}
+	}
+	return true
+}
+
+// raw consumes a string of printable ASCII without escapes and returns
+// its contents, aliasing the line.
+func (s *scanner) raw() []byte {
+	if !s.lit('"') {
+		s.bad = true
+		return nil
+	}
+	b, start, i := s.b, s.i, s.i
+	for i < len(b) && plain[b[i]] {
+		i++
+	}
+	s.i = i
+	if !s.lit('"') {
+		s.bad = true // an escape, a control or non-ASCII byte, or the end
+		return nil
+	}
+	return s.b[start : s.i-1]
+}
+
+// plain marks the bytes a canonical string carries unescaped: printable
+// ASCII except the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+func (s *scanner) string() string {
+	b := s.raw()
+	if s.bad || len(b) == 0 {
+		return ""
+	}
+	return string(b)
+}
+
+// op returns the operation name, as the package constant when it names
+// one (no allocation).
+func (s *scanner) op() string { return s.known(opNames) }
+
+// code returns the response code, as the package constant when it names
+// one (no allocation).
+func (s *scanner) code() string { return s.known(codeNames) }
+
+var (
+	opNames = []string{OpHello, OpAcquire, OpRelease, OpHeartbeat, OpReconfigure,
+		OpStat, OpBye, OpReplAppend, OpReplVote}
+	codeNames = []string{CodeOverloaded, CodeTimeout, CodeExpired, CodeAlreadyHeld,
+		CodeStaleToken, CodeBadRequest, CodeShutdown, CodeNotLeader, CodeUnavailable}
+)
+
+// known consumes a string and returns the entry of names it equals, or
+// a copy of it when it names none.
+func (s *scanner) known(names []string) string {
+	b := s.raw()
+	for _, n := range names {
+		if string(b) == n {
+			return n
+		}
+	}
+	return string(b)
+}
+
+func (s *scanner) bool() bool {
+	rest := s.b[s.i:]
+	switch {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		s.i += 4
+		return true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		s.i += 5
+		return false
+	}
+	s.bad = true
+	return false
+}
+
+// uint consumes a non-negative integer of at most 19 digits without
+// leading zeros. A fraction or exponent is left for next/done to
+// reject; a 20-digit value (it may overflow) is left to json.Unmarshal.
+func (s *scanner) uint() uint64 {
+	b, start, i := s.b, s.i, s.i // locals keep the loop in registers
+	var v uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v = v*10 + uint64(b[i]-'0')
+	}
+	s.i = i
+	if n := i - start; n == 0 || n > 19 || (n > 1 && b[start] == '0') {
+		s.bad = true
+	}
+	return v
+}
+
+func (s *scanner) int64() int64 {
+	neg := s.lit('-')
+	u := s.uint()
+	switch {
+	case !neg && u <= math.MaxInt64:
+		return int64(u)
+	case neg && u <= math.MaxInt64+1:
+		return -int64(u-1) - 1
+	}
+	s.bad = true
+	return 0
+}
+
+func (s *scanner) int() int {
+	v := s.int64()
+	if int64(int(v)) != v {
+		s.bad = true
+	}
+	return int(v)
+}
+
+// entries consumes a non-empty array of replication entries. An empty
+// array, null, or an entry with missing or odd members is left to
+// json.Unmarshal.
+func (s *scanner) entries() []ReplEntry {
+	if !s.lit('[') {
+		s.bad = true
+		return nil
+	}
+	var es []ReplEntry
+	for {
+		var e ReplEntry
+		if !s.lit('{') {
+			s.bad = true
+			return nil
+		}
+		for {
+			switch string(s.key()) {
+			case "term":
+				e.Term = s.uint()
+			case "frames":
+				e.Frames = s.frames()
+			default:
+				s.bad = true
+				return nil
+			}
+			if !s.next() {
+				break
+			}
+		}
+		if s.bad || !s.lit('}') {
+			s.bad = true
+			return nil
+		}
+		es = append(es, e)
+		if s.lit(']') {
+			return es
+		}
+		if !s.lit(',') {
+			s.bad = true
+			return nil
+		}
+	}
+}
+
+// frames consumes a base64 string, decoding it as encoding/json does.
+func (s *scanner) frames() []byte {
+	b := s.raw()
+	if s.bad {
+		return nil
+	}
+	out := make([]byte, base64.StdEncoding.DecodedLen(len(b)))
+	n, err := base64.StdEncoding.Decode(out, b)
+	if err != nil {
+		s.bad = true
+		return nil
+	}
+	return out[:n]
+}
+
+// errLineTooLong marks a line exceeding ReadLine's bound; the line is
+// fully consumed so the connection can keep serving.
+var errLineTooLong = errors.New("lockd: request line too long")
+
+// ReadLine reads one newline-terminated line of at most max bytes (max
+// <= 0: unbounded). The result aliases br's buffer for lines that fit
+// it, so it is valid only until the next read. An oversized line is
+// drained to its newline and reported as errLineTooLong — a protocol
+// error, not connection death (bufio.Scanner's ErrTooLong would end the
+// read loop). Any other error is a real I/O condition.
+func ReadLine(br *bufio.Reader, max int) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		switch err {
+		case nil:
+			if line == nil {
+				return frag, nil
+			}
+			line = append(line, frag...)
+			if max > 0 && len(line) > max {
+				return nil, errLineTooLong
+			}
+			return line, nil
+		case bufio.ErrBufferFull:
+			line = append(line, frag...)
+			if max > 0 && len(line) > max {
+				// Discard the remainder of the oversized line.
+				for {
+					_, err := br.ReadSlice('\n')
+					if err == nil {
+						return nil, errLineTooLong
+					}
+					if err != bufio.ErrBufferFull {
+						return nil, err
+					}
+				}
+			}
+		default:
+			return nil, err
+		}
+	}
 }

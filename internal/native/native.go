@@ -462,24 +462,30 @@ func (m *Mutex) UnlockTo(tag uint64) { m.unlock(tag) }
 
 func (m *Mutex) unlock(hint uint64) {
 	m.injectReleaseDelay()
+	// The release is observed and emitted while the caller still owns
+	// the lock: once releaseLocked frees it or picks a grantee, the next
+	// owner's acquire event can reach the sink first, and a journal
+	// would show two holders. holdStart and ownerTag are written only by
+	// the goroutine taking the lock, before that acquisition returns, so
+	// the owner reads them without the guard.
+	start := m.holdStart
+	held := time.Since(start)
+	ownerTag := m.ownerTag
+	if o := m.latencyObserver(); o != nil {
+		o.ObserveHold(held)
+	}
+	m.emitEvent(EventRelease, ownerTag, 0, start.Add(held), 0, held)
 	m.guard.lock()
 	if !m.held {
 		m.guard.unlock()
 		panic("native: Unlock of unlocked Mutex")
 	}
-	start := m.holdStart
-	held := time.Since(start)
-	ownerTag := m.ownerTag
 	m.holdNanos.Add(int64(held))
 	w := m.releaseLocked(hint)
 	m.guard.unlock()
 	if w != nil {
 		w.ch <- struct{}{}
 	}
-	if o := m.latencyObserver(); o != nil {
-		o.ObserveHold(held)
-	}
-	m.emitEvent(EventRelease, ownerTag, 0, start.Add(held), 0, held)
 }
 
 // releaseLocked ends the current tenure and either frees the lock or picks

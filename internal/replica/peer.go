@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"encoding/json"
 	"net"
 	"sync"
 	"time"
@@ -31,6 +30,7 @@ type peerConn struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	br     *bufio.Reader
+	wbuf   []byte // reused request line buffer
 	nextID uint64
 }
 
@@ -50,24 +50,20 @@ func (p *peerConn) call(req lockd.Request, timeout time.Duration) (lockd.Respons
 	}
 	p.nextID++
 	req.ID = p.nextID
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return lockd.Response{}, err
-	}
-	buf = append(buf, '\n')
+	p.wbuf = lockd.AppendRequest(p.wbuf[:0], &req)
 	p.conn.SetDeadline(deadline) //nolint:errcheck // best-effort bound
-	if _, err := p.conn.Write(buf); err != nil {
+	if _, err := p.conn.Write(p.wbuf); err != nil {
 		p.resetLocked()
 		return lockd.Response{}, err
 	}
 	for {
-		line, err := p.br.ReadBytes('\n')
+		line, err := lockd.ReadLine(p.br, 0)
 		if err != nil {
 			p.resetLocked()
 			return lockd.Response{}, err
 		}
 		var resp lockd.Response
-		if err := json.Unmarshal(line, &resp); err != nil {
+		if err := lockd.ParseResponse(line, &resp); err != nil {
 			p.resetLocked()
 			return lockd.Response{}, err
 		}
