@@ -9,7 +9,7 @@ HA_SMOKE_DIR ?= $(CURDIR)/.ha-smoke
 TIMELINE_SMOKE_DIR ?= $(CURDIR)/.timeline-smoke
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test race check bench bench-out benchdiff verify chaos fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke clean
+.PHONY: all build vet staticcheck test race check bench bench-out benchdiff verify chaos fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke perfbench-smoke clean
 
 all: check
 
@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race -timeout 10m ./...
 
-check: build vet staticcheck race fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke benchdiff
+check: build vet staticcheck race fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke perfbench-smoke benchdiff
 
 # Regenerate the paper's tables and figures.
 bench:
@@ -106,6 +106,12 @@ ha-smoke:
 # upload them as an artifact.
 timeline-smoke:
 	TIMELINE_SMOKE_DIR=$(TIMELINE_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run TestTimelineSmokeSkewedCluster
+
+# The benchmark driver is a nested module (perfbench/go.mod), so the
+# root `go test ./...` never builds it; vet and test it on its own, since
+# it compiles against native, journal, causal, telemetry and lockd.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # PASS/FAIL check of every reproduction claim.
 verify:

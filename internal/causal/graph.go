@@ -23,6 +23,7 @@ import (
 type Graph struct {
 	mu      sync.Mutex
 	waits   map[string]map[string]bool // actor → set of lock names awaited
+	spare   []map[string]bool          // emptied sets, reused so steady-state waits do not allocate
 	holders map[string]string          // lock → holding actor ("" absent)
 	active  map[string][]string        // canonical signature → members of currently closed cycles
 	recent  []CycleRecord              // bounded history of suspicions
@@ -58,6 +59,9 @@ type GraphSnapshot struct {
 	Recent    []CycleRecord `json:"recent,omitempty"`
 }
 
+// maxSpareSets bounds the emptied wait sets a Graph keeps for reuse.
+const maxSpareSets = 64
+
 // NewGraph returns an empty wait-for graph.
 func NewGraph() *Graph {
 	return &Graph{
@@ -79,7 +83,12 @@ func (g *Graph) AddWait(actor, lock string) {
 	g.mu.Lock()
 	set := g.waits[actor]
 	if set == nil {
-		set = make(map[string]bool)
+		if n := len(g.spare); n > 0 {
+			set = g.spare[n-1]
+			g.spare = g.spare[:n-1]
+		} else {
+			set = make(map[string]bool)
+		}
 		g.waits[actor] = set
 	}
 	set[lock] = true
@@ -100,7 +109,12 @@ func (g *Graph) RemoveWait(actor, lock string) {
 	if set := g.waits[actor]; set != nil {
 		delete(set, lock)
 		if len(set) == 0 {
+			// An actor that stopped waiting keeps no entry; its empty
+			// set waits in spare for the next actor to block.
 			delete(g.waits, actor)
+			if len(g.spare) < maxSpareSets {
+				g.spare = append(g.spare, set)
+			}
 		}
 	}
 	if len(g.active) > 0 {
@@ -321,6 +335,7 @@ func (g *Graph) Reset() {
 	}
 	g.mu.Lock()
 	g.waits = make(map[string]map[string]bool)
+	g.spare = nil
 	g.holders = make(map[string]string)
 	g.active = make(map[string][]string)
 	g.recent = nil

@@ -278,3 +278,23 @@ func TestGraphEarlyOutsMatchFullScan(t *testing.T) {
 		t.Fatal("the random history closed no cycle; the comparison proved nothing")
 	}
 }
+
+// TestGraphSteadyStateNoAllocs pins that the wait/grant/release cycle
+// lockd runs for every acquisition allocates nothing once warm, and
+// that an actor that stopped waiting leaves no entry behind.
+func TestGraphSteadyStateNoAllocs(t *testing.T) {
+	g := NewGraph()
+	cycle := func() {
+		g.AddWait("a", "L")
+		g.RemoveWait("a", "L")
+		g.SetHolder("L", "a")
+		g.SetHolder("L", "")
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("AddWait/RemoveWait/SetHolder/SetHolder cycle = %v allocs, want 0", n)
+	}
+	if _, ok := g.waits["a"]; ok || g.Edges() != 0 {
+		t.Fatalf("actor that stopped waiting kept an entry: %v", g.waits)
+	}
+}

@@ -1,10 +1,8 @@
 package causal
 
 import (
-	"fmt"
 	"sync"
 
-	"repro/internal/native"
 	"repro/internal/sim"
 )
 
@@ -106,117 +104,5 @@ func (tk *SimTracker) LockOwner(at sim.Time, actor string) {
 		tk.Flight.RecordAt(int64(at), tk.Object, "acquire", actor, "")
 	case prev != "":
 		tk.Flight.RecordAt(int64(at), tk.Object, "release", prev, "")
-	}
-}
-
-// NativeTracker adapts one native mutex's EventSink into spans, graph
-// edges and flight events. Attach with m.SetEventSink(tracker); actors
-// are derived from handoff tags via ActorName (default "goroutine-<tag>",
-// tag 0 = "anon"). Timestamps are unix nanoseconds.
-type NativeTracker struct {
-	Object    string
-	Rec       *Recorder
-	Graph     *Graph
-	Flight    *Flight
-	ActorName func(tag uint64) string
-
-	mu     sync.Mutex
-	traces map[string]TraceID // actor -> trace of its in-flight acquisition
-	spans  map[string]SpanID  // actor -> wait span id (hold parent)
-}
-
-func (tk *NativeTracker) actor(tag uint64) string {
-	if tk.ActorName != nil {
-		return tk.ActorName(tag)
-	}
-	if tag == 0 {
-		return "anon"
-	}
-	return fmt.Sprintf("goroutine-%d", tag)
-}
-
-// LockEvent implements native.EventSink.
-func (tk *NativeTracker) LockEvent(e native.LockEvent) {
-	actor := tk.actor(e.Tag)
-	now := e.When.UnixNano()
-	switch e.Kind {
-	case native.EventWait:
-		tk.Graph.AddWait(actor, tk.Object)
-		tk.Flight.RecordAt(now, tk.Object, "wait", actor, "")
-	case native.EventAcquire:
-		tk.Graph.RemoveWait(actor, tk.Object)
-		tk.Graph.SetHolder(tk.Object, actor)
-		tr := NewTraceID()
-		var parent SpanID
-		if e.Waited > 0 && tk.Rec != nil {
-			span := NewSpanID()
-			parent = span
-			tk.Rec.Record(Span{
-				Trace: tr, ID: span, Name: "wait",
-				Actor: actor, Object: tk.Object,
-				Start: now - int64(e.Waited), End: now,
-				Attrs: map[string]string{"outcome": "acquired"},
-			})
-		}
-		tk.mu.Lock()
-		if tk.traces == nil {
-			tk.traces = make(map[string]TraceID)
-			tk.spans = make(map[string]SpanID)
-		}
-		tk.traces[actor] = tr
-		tk.spans[actor] = parent
-		tk.mu.Unlock()
-		tk.Flight.RecordAt(now, tk.Object, "acquire", actor, "")
-	case native.EventRelease:
-		tk.Graph.SetHolder(tk.Object, "")
-		tk.mu.Lock()
-		tr := tk.traces[actor]
-		parent := tk.spans[actor]
-		delete(tk.traces, actor)
-		delete(tk.spans, actor)
-		tk.mu.Unlock()
-		if tr == 0 {
-			tr = NewTraceID()
-		}
-		if tk.Rec != nil {
-			tk.Rec.Record(Span{
-				Trace: tr, ID: NewSpanID(), Parent: parent, Name: "hold",
-				Actor: actor, Object: tk.Object,
-				Start: now - int64(e.Held), End: now,
-			})
-		}
-		tk.Flight.RecordAt(now, tk.Object, "release", actor, "")
-	case native.EventOwnerDead:
-		// A force-release: close the hold span like a release, but mark
-		// the outcome so post-mortems can tell them apart.
-		tk.Graph.SetHolder(tk.Object, "")
-		tk.mu.Lock()
-		tr := tk.traces[actor]
-		parent := tk.spans[actor]
-		delete(tk.traces, actor)
-		delete(tk.spans, actor)
-		tk.mu.Unlock()
-		if tr == 0 {
-			tr = NewTraceID()
-		}
-		if tk.Rec != nil {
-			tk.Rec.Record(Span{
-				Trace: tr, ID: NewSpanID(), Parent: parent, Name: "hold",
-				Actor: actor, Object: tk.Object,
-				Start: now - int64(e.Held), End: now,
-				Attrs: map[string]string{"outcome": "owner-dead"},
-			})
-		}
-		tk.Flight.RecordAt(now, tk.Object, "owner-dead", actor, "")
-	case native.EventTimeout:
-		tk.Graph.RemoveWait(actor, tk.Object)
-		tk.Flight.RecordAt(now, tk.Object, "timeout", actor, "")
-	case native.EventAbort:
-		tk.Graph.RemoveWait(actor, tk.Object)
-		tk.Flight.RecordAt(now, tk.Object, "abort", actor, "")
-	case native.EventWatchdog:
-		tk.Flight.RecordAt(now, tk.Object, "watchdog", actor, "")
-	case native.EventReconfig:
-		tk.Flight.RecordAt(now, tk.Object, "reconfig", "", "")
 	}
 }

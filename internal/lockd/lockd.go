@@ -386,13 +386,17 @@ func (s *Server) lock(name string) (*servedLock, error) {
 		return nil, err
 	}
 	lk := &servedLock{name: name, m: m}
+	// The mutex's one event sink feeds its telemetry entry and journal.
+	var sinks []native.EventSink
 	if s.cfg.Registry != nil {
 		lk.entry = s.cfg.Registry.RegisterNative("lockd/"+name, m).ObserveLatency()
+		sinks = append(sinks, lk.entry)
 	}
 	if s.cfg.Journal != nil {
 		lk.jlock = s.cfg.Journal.InternLock(name)
-		m.SetEventSink(s.cfg.Journal.Sink("native/" + name))
+		sinks = append(sinks, s.cfg.Journal.Sink("native/"+name))
 	}
+	m.SetEventSink(native.TeeSink(sinks...))
 	s.locks[name] = lk
 	return lk, nil
 }
@@ -658,7 +662,7 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		waiting := lk.waiting
 		lk.mu.Unlock()
 		s.ctr.sheds.Add(1)
-		s.journalRec(journal.KindAbort, lk, sess, 0, causal.ParseTraceID(req.TraceID), 0)
+		s.recordWait(&queueWait{lk: lk, sess: sess, tr: causal.ParseTraceID(req.TraceID)}, journal.KindAbort, "", 0)
 		// Retry-After scales with the queue: a deeper backlog pushes
 		// retries further out.
 		hint := time.Duration(waiting) * 10 * time.Millisecond
@@ -688,19 +692,11 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 	if tr == 0 {
 		tr = causal.NewTraceID()
 	}
-	qspan := causal.NewSpanID()
-	qstart := time.Now()
-	s.cfg.Graph.AddWait(actor, req.Lock)
-	s.cfg.Flight.Record(req.Lock, "wait", actor, "trace="+tr.String())
-	s.journalRec(journal.KindWait, lk, sess, 0, tr, 0)
-	queueSpan := func(outcome string) causal.Span {
-		return causal.Span{
-			Trace: tr, ID: qspan, Parent: causal.ParseSpanID(req.ParentSpan),
-			Name: "queue-wait", Actor: actor, Object: req.Lock,
-			Start: qstart.UnixNano(), End: time.Now().UnixNano(),
-			Attrs: map[string]string{"outcome": outcome},
-		}
+	q := &queueWait{
+		lk: lk, sess: sess, actor: actor, tr: tr,
+		span: causal.NewSpanID(), parent: causal.ParseSpanID(req.ParentSpan), start: time.Now(),
 	}
+	s.recordWait(q, journal.KindWait, "", 0)
 
 	wait := s.cfg.DefaultWait
 	if req.WaitMs > 0 {
@@ -727,17 +723,12 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		s.ctr.recoveredGrants.Add(1)
 	}
 	if err != nil {
-		s.cfg.Graph.RemoveWait(actor, req.Lock)
 		if ctx.Err() != nil {
-			s.cfg.Flight.Record(req.Lock, "abort", actor, "connection or server closing")
-			s.cfg.Recorder.Record(queueSpan("aborted"))
-			s.journalRec(journal.KindAbort, lk, sess, 0, tr, time.Since(qstart))
+			s.recordWait(q, journal.KindAbort, "aborted", 0)
 			return Response{ID: req.ID, Code: CodeShutdown, Err: "connection or server closing"}
 		}
 		s.ctr.acquireTimeouts.Add(1)
-		s.cfg.Flight.Record(req.Lock, "timeout", actor, "")
-		s.cfg.Recorder.Record(queueSpan("timeout"))
-		s.journalRec(journal.KindTimeout, lk, sess, 0, tr, time.Since(qstart))
+		s.recordWait(q, journal.KindTimeout, "timeout", 0)
 		return Response{ID: req.ID, Code: CodeTimeout, Err: fmt.Sprintf("lock %q not acquired within %v", req.Lock, wait)}
 	}
 
@@ -753,7 +744,7 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		lk.mu.Unlock()
 		if err := s.propose(Mutation{
 			Kind: journal.KindAcquire, Lock: req.Lock, Agent: actor,
-			Session: sess.id, Token: tok, Trace: uint64(tr), DurNs: int64(time.Since(qstart)),
+			Session: sess.id, Token: tok, Trace: uint64(tr), DurNs: int64(time.Since(q.start)),
 		}); err != nil {
 			// No quorum. The entry stays in the local log (it may already
 			// sit on some learners), so burn the token and append a
@@ -765,10 +756,7 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 			lk.mu.Unlock()
 			s.propose(Mutation{Kind: journal.KindRelease, Lock: req.Lock, Agent: actor, Session: sess.id, Token: tok}) //nolint:errcheck // best-effort compensation
 			lk.m.Unlock()
-			s.cfg.Graph.RemoveWait(actor, req.Lock)
-			s.cfg.Flight.Record(req.Lock, "abort", actor, "replication quorum unavailable")
-			s.cfg.Recorder.Record(queueSpan("unreplicated"))
-			s.journalRec(journal.KindAbort, lk, sess, 0, tr, time.Since(qstart))
+			s.recordWait(q, journal.KindAbort, "unreplicated", 0)
 			return Response{ID: req.ID, Code: CodeUnavailable, Err: "replication quorum unavailable: " + err.Error()}
 		}
 	}
@@ -790,9 +778,7 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 			s.propose(Mutation{Kind: journal.KindRelease, Lock: req.Lock, Agent: actor, Session: sess.id, Token: tok}) //nolint:errcheck // best-effort compensation
 		}
 		lk.m.Unlock() // lease lapsed while we waited: give the grant back
-		s.cfg.Graph.RemoveWait(actor, req.Lock)
-		s.cfg.Flight.Record(req.Lock, "abort", actor, "lease expired while waiting")
-		s.cfg.Recorder.Record(queueSpan("expired"))
+		s.recordWait(q, journal.KindAbort, "expired", 0)
 		return Response{ID: req.ID, Code: CodeExpired, Err: "session lease expired while waiting"}
 	}
 	lk.mu.Lock()
@@ -803,30 +789,79 @@ func (s *Server) handleAcquire(ctx context.Context, req Request) Response {
 		tok = lk.fence
 	}
 	lk.holderSession, lk.holderToken = sess.id, tok
-	lk.holdTrace, lk.holdParent = tr, qspan
+	lk.holdTrace, lk.holdParent = tr, q.span
 	lk.holdStart, lk.holderName = time.Now(), actor
 	lk.mu.Unlock()
 	sess.held[req.Lock] = tok
 	sess.mu.Unlock()
 	s.ctr.acquires.Add(1)
-	// Wait edge off before the hold edge lands, so the graph never shows
-	// a transient self-cycle.
-	s.cfg.Graph.RemoveWait(actor, req.Lock)
-	s.cfg.Graph.SetHolder(req.Lock, actor)
 	outcome := "acquired"
 	if recovered {
 		outcome = "recovered"
 	}
-	qs := queueSpan(outcome)
-	qs.Attrs["token"] = strconv.FormatUint(tok, 10)
-	s.cfg.Recorder.Record(qs)
-	s.cfg.Flight.Record(req.Lock, "acquire", actor, fmt.Sprintf("token=%d trace=%s", tok, tr))
-	s.journalRec(journal.KindAcquire, lk, sess, tok, tr, time.Since(qstart))
+	s.recordWait(q, journal.KindAcquire, outcome, tok)
 	resp = Response{ID: req.ID, OK: true, Token: tok, Recovered: recovered}
 	if req.TraceID != "" {
-		resp.ServerSpan = qspan.String()
+		resp.ServerSpan = q.span.String()
 	}
 	return resp
+}
+
+// queueWait is one acquisition's passage through a served lock's
+// queue: who waits, under which trace, and since when.
+type queueWait struct {
+	lk     *servedLock
+	sess   *session
+	actor  string
+	tr     causal.TraceID
+	span   causal.SpanID // the queue-wait span; parent of the hold span
+	parent causal.SpanID
+	start  time.Time // zero when the request never queued (a shed, a reconfigure)
+}
+
+// waitExits maps how a queue wait ended other than in a grant — the
+// outcome its span records — to the flight record of that exit.
+var waitExits = map[string]struct{ kind, detail string }{
+	"timeout":      {"timeout", ""},
+	"aborted":      {"abort", "connection or server closing"},
+	"unreplicated": {"abort", "replication quorum unavailable"},
+	"expired":      {"abort", "lease expired while waiting"},
+}
+
+// recordWait is the one place a queue-wait transition reaches the
+// wait-for graph, flight ring, span recorder and journal, so the four
+// views cannot drift apart. KindWait opens the wait. A non-empty
+// outcome ends it: the wait edge comes off, the queue-wait span closes,
+// and on a grant (tok, the fencing token, nonzero) the hold edge goes
+// on — after the wait edge is off, so the graph never shows a
+// transient self-cycle. A request that never queued (q.start zero: a
+// shed, a reconfigure) reaches the journal only.
+func (s *Server) recordWait(q *queueWait, kind journal.Kind, outcome string, tok uint64) {
+	name := q.lk.name
+	var waited time.Duration
+	switch {
+	case kind == journal.KindWait:
+		s.cfg.Graph.AddWait(q.actor, name)
+		s.cfg.Flight.Record(name, "wait", q.actor, "trace="+q.tr.String())
+	case outcome != "":
+		waited = time.Since(q.start)
+		s.cfg.Graph.RemoveWait(q.actor, name)
+		span := causal.Span{
+			Trace: q.tr, ID: q.span, Parent: q.parent,
+			Name: "queue-wait", Actor: q.actor, Object: name,
+			Start: q.start.UnixNano(), End: q.start.Add(waited).UnixNano(),
+			Attrs: map[string]string{"outcome": outcome},
+		}
+		exit := waitExits[outcome]
+		if tok != 0 {
+			s.cfg.Graph.SetHolder(name, q.actor)
+			span.Attrs["token"] = strconv.FormatUint(tok, 10)
+			exit.kind, exit.detail = "acquire", fmt.Sprintf("token=%d trace=%s", tok, q.tr)
+		}
+		s.cfg.Recorder.Record(span)
+		s.cfg.Flight.Record(name, exit.kind, q.actor, exit.detail)
+	}
+	s.journalRec(kind, q.lk, q.sess, tok, q.tr, waited)
 }
 
 // actorName is a session's node name in the wait-for graph and flight
@@ -838,15 +873,40 @@ func actorName(sess *session) string {
 	return fmt.Sprintf("session-%d", sess.id)
 }
 
-// holdSpan builds the ending tenure's hold span from the lock's causal
-// bookkeeping. Called with lk.mu held, before holderName is cleared;
-// cause labels why the tenure ended (released, bye, lease-expired).
-func (s *Server) holdSpan(lk *servedLock, cause string, tok uint64) causal.Span {
-	return causal.Span{
-		Trace: lk.holdTrace, ID: causal.NewSpanID(), Parent: lk.holdParent,
-		Name: "hold", Actor: lk.holderName, Object: lk.name,
-		Start: lk.holdStart.UnixNano(), End: time.Now().UnixNano(),
+// endTenure ends lk's running tenure, held by sess under token tok:
+// it clears the holder fields, records the end in the four views (the
+// hold span's cause says why: released, bye, lease-expired), and only
+// then gives the mutex back, so the next holder's records always follow
+// these. A forced end goes through DeclareOwnerDead, so the next
+// acquirer inherits the owner-died notification. Called with lk.mu
+// held; returns with it released.
+func (s *Server) endTenure(lk *servedLock, sess *session, tok uint64, forced bool, cause string) {
+	holder, tr, parent, start := lk.holderName, lk.holdTrace, lk.holdParent, lk.holdStart
+	lk.holderSession, lk.holderToken, lk.holderName = 0, 0, ""
+	lk.mu.Unlock()
+	held := time.Since(start)
+	s.cfg.Graph.SetHolder(lk.name, "")
+	s.cfg.Recorder.Record(causal.Span{
+		Trace: tr, ID: causal.NewSpanID(), Parent: parent,
+		Name: "hold", Actor: holder, Object: lk.name,
+		Start: start.UnixNano(), End: start.Add(held).UnixNano(),
 		Attrs: map[string]string{"cause": cause, "token": strconv.FormatUint(tok, 10)},
+	})
+	flightKind, jkind := "release", journal.KindRelease
+	if forced {
+		flightKind, jkind = "expired", journal.KindOwnerDead
+	}
+	s.cfg.Flight.Record(lk.name, flightKind, holder, "token="+strconv.FormatUint(tok, 10))
+	s.journalRec(jkind, lk, sess, tok, tr, held)
+	if !forced {
+		lk.m.Unlock()
+		s.ctr.releases.Add(1)
+		return
+	}
+	if err := lk.m.DeclareOwnerDead(); err != nil {
+		s.logf("lockd: recover %q from session %d: %v", lk.name, sess.id, err)
+	} else {
+		s.ctr.forcedReleases.Add(1)
 	}
 }
 
@@ -908,18 +968,7 @@ func (s *Server) handleRelease(req Request) Response {
 	sess.mu.Unlock()
 	lk.mu.Lock()
 	if lk.holderSession == sess.id && lk.holderToken == req.Token {
-		lk.holderSession, lk.holderToken = 0, 0
-		holder := lk.holderName
-		span := s.holdSpan(lk, "released", req.Token)
-		holdTrace, holdDur := lk.holdTrace, time.Since(lk.holdStart)
-		lk.holderName = ""
-		lk.mu.Unlock()
-		lk.m.Unlock()
-		s.ctr.releases.Add(1)
-		s.cfg.Graph.SetHolder(req.Lock, "")
-		s.cfg.Recorder.Record(span)
-		s.cfg.Flight.Record(req.Lock, "release", holder, fmt.Sprintf("token=%d", req.Token))
-		s.journalRec(journal.KindRelease, lk, sess, req.Token, holdTrace, holdDur)
+		s.endTenure(lk, sess, req.Token, false, "released")
 		return Response{ID: req.ID, OK: true, Token: req.Token}
 	}
 	lk.mu.Unlock()
@@ -972,7 +1021,7 @@ func (s *Server) handleReconfigure(req Request) Response {
 		_, pending = lk.m.PendingScheduler()
 	}
 	s.ctr.reconfigurations.Add(1)
-	s.journalRec(journal.KindReconfig, lk, sess, 0, 0, 0)
+	s.recordWait(&queueWait{lk: lk, sess: sess}, journal.KindReconfig, "", 0)
 	return Response{ID: req.ID, OK: true, Pending: pending}
 }
 
@@ -1053,37 +1102,11 @@ func (s *Server) endSession(sess *session, forced bool) {
 			lk.mu.Unlock()
 			continue
 		}
-		lk.holderSession, lk.holderToken = 0, 0
-		holder := lk.holderName
-		holdTrace, holdDur := lk.holdTrace, time.Since(lk.holdStart)
-		var span causal.Span
+		cause := "bye"
 		if forced {
-			// The owner is gone without unlocking: force-release through
-			// the robust-mutex path so the next acquirer inherits the
-			// lock with the owner-died notification set.
-			span = s.holdSpan(lk, "lease-expired", tok)
-			if err := lk.m.DeclareOwnerDead(); err != nil {
-				s.logf("lockd: recover %q from session %d: %v", name, sess.id, err)
-			} else {
-				s.ctr.forcedReleases.Add(1)
-			}
-		} else {
-			span = s.holdSpan(lk, "bye", tok)
-			lk.m.Unlock()
-			s.ctr.releases.Add(1)
+			cause = "lease-expired"
 		}
-		lk.holderName = ""
-		lk.mu.Unlock()
-		s.cfg.Graph.SetHolder(name, "")
-		s.cfg.Recorder.Record(span)
-		kind := "release"
-		jkind := journal.KindRelease
-		if forced {
-			kind = "expired"
-			jkind = journal.KindOwnerDead
-		}
-		s.cfg.Flight.Record(name, kind, holder, fmt.Sprintf("token=%d", tok))
-		s.journalRec(jkind, lk, sess, tok, holdTrace, holdDur)
+		s.endTenure(lk, sess, tok, forced, cause)
 	}
 	s.proposeIfLeader(Mutation{Kind: journal.KindSessionEnd, Session: sess.id, Agent: sess.client})
 	s.journalSession(journal.KindSessionEnd, sess.id, sess.client, 0)

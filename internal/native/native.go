@@ -169,10 +169,8 @@ type Mutex struct {
 	stallGen    atomic.Uint64
 	inj         atomic.Value // injBox
 
-	// Telemetry hooks (see observe.go).
-	observer atomic.Value // obsBox
-	csampler atomic.Value // samplerBox
-	esink    atomic.Value // sinkBox
+	// Telemetry hook (see observe.go).
+	esink atomic.Value // sinkBox
 
 	// ownerTag is the handoff tag the current owner acquired under
 	// (guard-protected); the release path reports it to the event sink so
@@ -462,18 +460,15 @@ func (m *Mutex) UnlockTo(tag uint64) { m.unlock(tag) }
 
 func (m *Mutex) unlock(hint uint64) {
 	m.injectReleaseDelay()
-	// The release is observed and emitted while the caller still owns
-	// the lock: once releaseLocked frees it or picks a grantee, the next
-	// owner's acquire event can reach the sink first, and a journal
-	// would show two holders. holdStart and ownerTag are written only by
-	// the goroutine taking the lock, before that acquisition returns, so
-	// the owner reads them without the guard.
+	// The release is emitted while the caller still owns the lock: once
+	// releaseLocked frees it or picks a grantee, the next owner's acquire
+	// event can reach the sink first, and a journal would show two
+	// holders. holdStart and ownerTag are written only by the goroutine
+	// taking the lock, before that acquisition returns, so the owner
+	// reads them without the guard.
 	start := m.holdStart
 	held := time.Since(start)
 	ownerTag := m.ownerTag
-	if o := m.latencyObserver(); o != nil {
-		o.ObserveHold(held)
-	}
 	m.emitEvent(EventRelease, ownerTag, 0, start.Add(held), 0, held)
 	m.guard.lock()
 	if !m.held {

@@ -2,60 +2,12 @@ package native
 
 import "time"
 
-// This file is the mutex's telemetry surface: optional hooks the
-// observability layer (internal/telemetry) installs to see individual
-// latencies and contended-acquisition call sites, beyond the cumulative
-// Stats counters. Both hooks are invoked outside the guard, on the
-// acquiring/releasing goroutine itself, and must not call back into the
-// mutex.
-
-// LatencyObserver receives individual wait and hold durations from the
-// mutex's hot paths, so an observability layer can maintain
-// distributions (histograms, percentiles) rather than the monitor's
-// lifetime totals. ObserveWait fires once per completed contended
-// acquisition; ObserveHold once per release. Implementations must be
-// safe for concurrent use.
-type LatencyObserver interface {
-	ObserveWait(d time.Duration)
-	ObserveHold(d time.Duration)
-}
-
-// obsBox wraps the observer so atomic.Value can hold (and clear) it.
-type obsBox struct{ o LatencyObserver }
-
-// SetLatencyObserver attaches a latency observer. Pass nil to detach.
-func (m *Mutex) SetLatencyObserver(o LatencyObserver) { m.observer.Store(obsBox{o}) }
-
-func (m *Mutex) latencyObserver() LatencyObserver {
-	v := m.observer.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(obsBox).o
-}
-
-// ContentionSampler is called once per completed contended acquisition,
-// on the acquiring goroutine itself — before the caller's critical
-// section runs — so implementations can capture the caller's stack (the
-// acquisition site). waited is the registration-to-grant delay.
-// Implementations must be safe for concurrent use.
-type ContentionSampler interface {
-	ContendedAcquire(waited time.Duration)
-}
-
-// samplerBox wraps the sampler so atomic.Value can hold (and clear) it.
-type samplerBox struct{ s ContentionSampler }
-
-// SetContentionSampler attaches a contention sampler. Pass nil to detach.
-func (m *Mutex) SetContentionSampler(s ContentionSampler) { m.csampler.Store(samplerBox{s}) }
-
-func (m *Mutex) contentionSampler() ContentionSampler {
-	v := m.csampler.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(samplerBox).s
-}
+// This file is the mutex's telemetry surface: one event sink, boxed on
+// the mutex, that receives every lifecycle transition. Consumers —
+// latency histograms and contention profiles (internal/telemetry), the
+// event journal (internal/journal) — are sinks; TeeSink runs several on
+// one mutex. The sink is called outside the guard, on the acquiring or
+// releasing goroutine, and must not call back into the mutex.
 
 // EventKind classifies a LockEvent.
 type EventKind uint8
@@ -68,7 +20,8 @@ const (
 	// the waiting policy.
 	EventWait EventKind = iota
 	// EventAcquire fires on every successful acquisition (contended or
-	// not); Waited is the registration-to-grant delay (0 uncontended).
+	// not); Waited is the registration-to-grant delay: 0 uncontended,
+	// positive for a contended grant.
 	EventAcquire
 	// EventRelease fires on every voluntary release; Held is the tenure
 	// length.
@@ -123,9 +76,9 @@ type LockEvent struct {
 	Held   time.Duration // EventRelease only
 }
 
-// EventSink receives lifecycle events from the mutex's hot paths —
-// the causal layer's hook for span recording and wait-for-graph
-// maintenance, and the journal's producer interface. Calls are made
+// EventSink receives lifecycle events from the mutex's hot paths — the
+// mutex's only hook: latency histograms, contention profiles and the
+// journal all consume this one stream. Calls are made
 // outside the guard on the acquiring/releasing goroutine (the timer
 // goroutine for EventWatchdog); every EventWait is eventually paired
 // with exactly one of EventAcquire, EventTimeout, or EventAbort.
@@ -146,7 +99,7 @@ type nopSink struct{}
 func (nopSink) LockEvent(LockEvent) {}
 
 // TeeSink fans one event stream out to several sinks, skipping nils,
-// so a causal tracker and a journal can both observe one mutex. With
+// so a telemetry entry and a journal can both observe one mutex. With
 // zero or one effective sink it returns NopSink or the sink itself —
 // no tee overhead unless genuinely fanning out.
 func TeeSink(sinks ...EventSink) EventSink {
@@ -204,17 +157,11 @@ func (m *Mutex) emitEvent(kind EventKind, tag uint64, prio int64, when time.Time
 	m.eventSink().LockEvent(LockEvent{Kind: kind, Tag: tag, Prio: prio, When: when, Waited: waited, Held: held})
 }
 
-// finishWait charges a completed contended acquisition: the wait-time
-// counter, the latency observer, the contention sampler, and the event
-// sink. Must be called without the guard.
+// finishWait charges a completed contended acquisition to the
+// wait-time counter and the event sink. Must be called without the
+// guard.
 func (m *Mutex) finishWait(waitStart time.Time, tag uint64, prio int64) {
 	d := time.Since(waitStart)
 	m.waitNanos.Add(int64(d))
-	if o := m.latencyObserver(); o != nil {
-		o.ObserveWait(d)
-	}
-	if s := m.contentionSampler(); s != nil {
-		s.ContendedAcquire(d)
-	}
 	m.emitEvent(EventAcquire, tag, prio, waitStart.Add(d), d, 0)
 }

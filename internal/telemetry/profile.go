@@ -21,8 +21,8 @@ const maxFrames = 24
 // table (Top) and as folded-stack flamegraph text (Folded, the
 // `a;b;c 42` format flamegraph.pl and speedscope consume).
 //
-// It implements native.ContentionSampler; attach with
-// NativeEntry.Profile or native.Mutex.SetContentionSampler directly.
+// Attach one with NativeEntry.Profile: the entry, as the mutex's event
+// sink, hands it every contended grant.
 type SiteProfiler struct {
 	rate int64
 	tick atomic.Int64
@@ -50,17 +50,17 @@ func NewSiteProfiler(rate int) *SiteProfiler {
 	}
 }
 
-// ContendedAcquire implements native.ContentionSampler: sample the
-// caller's stack and charge the site.
-func (p *SiteProfiler) ContendedAcquire(waited time.Duration) {
+// record charges one contended acquisition that waited for waited to
+// the acquiring caller's site. It runs on the acquiring goroutine.
+func (p *SiteProfiler) record(waited time.Duration) {
 	if p.rate > 1 && p.tick.Add(1)%p.rate != 0 {
 		return
 	}
-	// Capture generously, then trim the mutex- and telemetry-internal
-	// frames so the key starts at the user's acquisition site. Keying on
-	// trimmed frames (not raw PCs) keeps one user call site as one site
-	// even when different internal paths (spin-phase grant vs. parked
-	// grant) completed the acquisition.
+	// Capture generously, then trim the mutex-, sink- and
+	// profiler-internal frames so the key starts at the user's
+	// acquisition site. Keying on trimmed frames (not raw PCs) keeps one
+	// user call site as one site even when different internal paths
+	// (spin-phase grant vs. parked grant) completed the acquisition.
 	var raw [maxFrames + 8]uintptr
 	n := runtime.Callers(2, raw[:])
 	if n == 0 {
@@ -101,10 +101,11 @@ func (p *SiteProfiler) ContendedAcquire(waited time.Duration) {
 	p.mu.Unlock()
 }
 
-// internalFrame reports whether a function belongs to the lock or
-// profiler machinery rather than the acquiring caller.
+// internalFrame reports whether a function belongs to the lock, its
+// event sink or the profiler rather than the acquiring caller.
 func internalFrame(fn string) bool {
 	return strings.HasPrefix(fn, "repro/internal/native.") ||
+		strings.HasPrefix(fn, "repro/internal/telemetry.(*NativeEntry).LockEvent") ||
 		strings.HasPrefix(fn, "repro/internal/telemetry.(*SiteProfiler).")
 }
 

@@ -59,8 +59,7 @@ var foldedRe = regexp.MustCompile(`^[^ ]+(;[^ ]+)* [0-9]+$`)
 
 func TestProfilerTwoSites(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
-	p := NewSiteProfiler(1)
-	m.SetContentionSampler(p)
+	p := NewRegistry().RegisterNative("profiled", m).Profile(1).Profiler()
 	twoSiteWorkload(t, m)
 
 	top := p.Top(0)
@@ -91,10 +90,10 @@ func TestProfilerTwoSites(t *testing.T) {
 	if hot.Count < 6 {
 		t.Errorf("hot count = %d, want >= 6", hot.Count)
 	}
-	// No lock-internal frames may survive trimming.
+	// No lock- or sink-internal frames may survive trimming.
 	for _, s := range top {
 		for _, f := range s.Stack {
-			if strings.HasPrefix(f, "repro/internal/native.") {
+			if strings.HasPrefix(f, "repro/internal/native.") || strings.HasPrefix(f, "repro/internal/telemetry.(*") {
 				t.Errorf("site %q: internal frame %q not trimmed", s.Site, f)
 			}
 		}
@@ -106,8 +105,7 @@ func TestProfilerTwoSites(t *testing.T) {
 
 func TestProfilerFoldedFormat(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
-	p := NewSiteProfiler(1)
-	m.SetContentionSampler(p)
+	p := NewRegistry().RegisterNative("profiled", m).Profile(1).Profiler()
 	twoSiteWorkload(t, m)
 
 	folded := p.Folded()
@@ -141,8 +139,7 @@ func TestProfilerFoldedFormat(t *testing.T) {
 
 func TestProfilerSamplingRate(t *testing.T) {
 	m := native.MustNew(native.CombinedPolicy, native.FIFO)
-	p := NewSiteProfiler(4)
-	m.SetContentionSampler(p)
+	p := NewRegistry().RegisterNative("profiled", m).Profile(4).Profiler()
 	twoSiteWorkload(t, m)
 
 	// 1-in-4 sampling: far fewer samples than the ~50 contended

@@ -277,24 +277,48 @@ func RegisterNative(name string, m *native.Mutex) *NativeEntry {
 	return Default.RegisterNative(name, m)
 }
 
-// ObserveLatency attaches a concurrency-safe wait/hold histogram
-// observer to the mutex, so scrapes serve latency distributions rather
-// than just the Stats totals. Returns the entry for chaining.
+// ObserveLatency keeps wait and hold histograms for the mutex, so
+// scrapes serve latency distributions rather than just the Stats
+// totals. Like Profile, it attaches the entry as the mutex's event
+// sink; to keep another sink (a journal) as well, attach
+// native.TeeSink(ne, other) afterwards. Returns the entry for chaining.
 func (ne *NativeEntry) ObserveLatency() *NativeEntry {
-	h := &lockedHists{}
-	ne.hists.Store(h)
-	ne.m.SetLatencyObserver(h)
+	ne.hists.Store(&lockedHists{})
+	ne.m.SetEventSink(ne)
 	return ne
 }
 
-// Profile attaches a contention call-site profiler sampling one in rate
-// contended acquisitions (rate <= 1 samples all). Returns the entry for
-// chaining.
+// Profile keeps a contention call-site profile sampling one in rate
+// contended acquisitions (rate <= 1 samples all), and attaches the
+// entry as the mutex's event sink (see ObserveLatency). Returns the
+// entry for chaining.
 func (ne *NativeEntry) Profile(rate int) *NativeEntry {
-	p := NewSiteProfiler(rate)
-	ne.prof.Store(p)
-	ne.m.SetContentionSampler(p)
+	ne.prof.Store(NewSiteProfiler(rate))
+	ne.m.SetEventSink(ne)
 	return ne
+}
+
+// LockEvent implements native.EventSink: a contended grant feeds the
+// wait histogram and the site profiler, a release the hold histogram.
+// The profiler samples the caller's stack here, on the acquiring
+// goroutine, before its critical section runs.
+func (ne *NativeEntry) LockEvent(e native.LockEvent) {
+	switch e.Kind {
+	case native.EventAcquire:
+		if e.Waited <= 0 {
+			return // uncontended
+		}
+		if h := ne.hists.Load(); h != nil {
+			h.observe(&h.wait, e.Waited)
+		}
+		if p := ne.prof.Load(); p != nil {
+			p.record(e.Waited)
+		}
+	case native.EventRelease:
+		if h := ne.hists.Load(); h != nil {
+			h.observe(&h.hold, e.Held)
+		}
+	}
 }
 
 // Profiler returns the attached contention profiler, nil before Profile.
@@ -322,17 +346,9 @@ type lockedHists struct {
 	hold obs.Histogram
 }
 
-var _ native.LatencyObserver = (*lockedHists)(nil)
-
-func (h *lockedHists) ObserveWait(d time.Duration) {
+func (h *lockedHists) observe(into *obs.Histogram, d time.Duration) {
 	h.mu.Lock()
-	h.wait.Record(sim.Duration(d))
-	h.mu.Unlock()
-}
-
-func (h *lockedHists) ObserveHold(d time.Duration) {
-	h.mu.Lock()
-	h.hold.Record(sim.Duration(d))
+	into.Record(sim.Duration(d))
 	h.mu.Unlock()
 }
 
