@@ -87,14 +87,17 @@ journal-smoke:
 	JOURNAL_SMOKE_DIR=$(JOURNAL_SMOKE_DIR) $(GO) test ./internal/journal -race -count=1 -v -run 'TestCrashRecovery|TestTornTail|TestVerifyMerged'
 
 # Replicated-lockd smoke: a 3-node in-process cluster rides a leader
-# SIGKILL and a split-brain partition under the race detector — token
-# monotonicity across the term boundary, single-holder proven by
-# journal.Verify over the merged per-node journals, deterministic
-# same-seed election traces, plus the client-side failover path.
+# SIGKILL, a learner SIGKILL and a split-brain partition under the race
+# detector — token monotonicity across the term boundary, single-holder
+# proven by journal.Verify over the merged per-node journals,
+# deterministic same-seed election traces, plus the client-side
+# failover path — and the leader's per-peer replicators: Proposes
+# outrun a delayed learner, group commit, heartbeat-only idling, and
+# log lag read from the match indexes.
 # HA_SMOKE_DIR keeps the per-node journal segments on failure so CI can
 # upload them as an artifact.
 ha-smoke:
-	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace'
+	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosKillLearnerMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace|TestProposeOutrunsSlowLearner|TestProposesGroupCommit|TestIdleLeaderOnlyHeartbeats|TestLogLagFromMatch'
 	$(GO) test ./internal/lockclient -race -count=1 -v -run 'TestClusterFailoverOnLeaderKill|TestFailoverResetsBackoff'
 
 # Cluster-timeline smoke: a two-node replicated cluster with wall

@@ -168,6 +168,7 @@ type Client struct {
 	lease      time.Duration
 	nextID     uint64
 	pend       map[uint64]chan lockd.Response
+	spare      []chan lockd.Response // drained response channels, reused by Call
 	closed     bool
 	cur        int    // ring index of the last good address
 	lastAddr   string // address of the last established session
@@ -543,7 +544,12 @@ func (c *Client) Call(ctx context.Context, req lockd.Request) (lockd.Response, e
 	}
 	req.HLC = uint64(c.o.Clock.Now())
 	addr := c.lastAddr
-	ch := make(chan lockd.Response, 1)
+	var ch chan lockd.Response
+	if k := len(c.spare); k > 0 {
+		ch, c.spare = c.spare[k-1], c.spare[:k-1]
+	} else {
+		ch = make(chan lockd.Response, 1)
+	}
 	c.pend[req.ID] = ch
 	sentNs := c.o.Clock.PhysNow()
 	c.wbuf = lockd.AppendRequest(c.wbuf[:0], &req)
@@ -561,6 +567,13 @@ func (c *Client) Call(ctx context.Context, req lockd.Request) (lockd.Response, e
 		if !ok {
 			return lockd.Response{}, ErrConnLost
 		}
+		// readLoop sends at most one response per registration, so the
+		// drained channel is free for the next call. Channels closed by
+		// dropConn, or abandoned below (a late send may still land), are
+		// never reused.
+		c.mu.Lock()
+		c.spare = append(c.spare, ch)
+		c.mu.Unlock()
 		// Close the causal loop and feed the skew estimate for the
 		// server that answered.
 		c.o.Clock.Update(hlc.Time(resp.HLC))

@@ -26,14 +26,26 @@ type testCluster struct {
 
 func startCluster(t *testing.T, size int, lease time.Duration, seed int64) *testCluster {
 	t.Helper()
+	return startClusterDial(t, size, lease, seed, nil)
+}
+
+// startClusterDial is startCluster with each node's peer links dialed
+// through dial(id) when dial is non-nil.
+func startClusterDial(t *testing.T, size int, lease time.Duration, seed int64,
+	dial func(id int) func(addr string, timeout time.Duration) (net.Conn, error)) *testCluster {
+	t.Helper()
 	c := &testCluster{t: t, dead: make([]bool, size)}
 	for i := 0; i < size; i++ {
-		node := New(Config{
+		cfg := Config{
 			ID:    i + 1,
 			Lease: lease,
 			Seed:  seed,
 			Logf:  func(string, ...any) {},
-		})
+		}
+		if dial != nil {
+			cfg.Dial = dial(i + 1)
+		}
+		node := New(cfg)
 		srv, err := lockd.Serve("127.0.0.1:0", lockd.Config{
 			Replica:      node,
 			DefaultLease: lease,

@@ -31,9 +31,10 @@ type SiteProfiler struct {
 	sites map[[maxFrames]uintptr]*siteAgg
 }
 
-// siteAgg is one aggregated acquisition site.
+// siteAgg is one aggregated acquisition site, resolved when first seen.
 type siteAgg struct {
-	pcs   []uintptr
+	leaf  string   // innermost frame: "pkg.Func (file.go:123)"
+	stack []string // function names, root first
 	count int64
 	wait  time.Duration
 }
@@ -66,7 +67,11 @@ func (p *SiteProfiler) record(waited time.Duration) {
 	if n == 0 {
 		return
 	}
+	// The frames keyed are the frames reported: re-expanding the keyed
+	// PCs would expand an inlined call a second time.
 	var key [maxFrames]uintptr
+	var funcs [maxFrames]string
+	var leaf runtime.Frame
 	kn := 0
 	frames := runtime.CallersFrames(raw[:n])
 	skipping := true
@@ -79,8 +84,11 @@ func (p *SiteProfiler) record(waited time.Duration) {
 				}
 				continue
 			}
+			if skipping {
+				leaf = f
+			}
 			skipping = false
-			key[kn] = f.PC
+			key[kn], funcs[kn] = f.PC, f.Function
 			kn++
 		}
 		if !more {
@@ -93,12 +101,28 @@ func (p *SiteProfiler) record(waited time.Duration) {
 	p.mu.Lock()
 	agg := p.sites[key]
 	if agg == nil {
-		agg = &siteAgg{pcs: append([]uintptr(nil), key[:kn]...)}
+		agg = newSiteAgg(leaf, funcs[:kn])
 		p.sites[key] = agg
 	}
 	agg.count++
 	agg.wait += waited
 	p.mu.Unlock()
+}
+
+// newSiteAgg resolves a newly seen site from its leaf frame and its
+// keyed function names, leaf first.
+func newSiteAgg(leaf runtime.Frame, funcs []string) *siteAgg {
+	agg := &siteAgg{leaf: "(unknown)"}
+	if leaf.Function != "" {
+		agg.leaf = fmt.Sprintf("%s (%s:%d)", leaf.Function, path.Base(leaf.File), leaf.Line)
+	}
+	// Folded stacks want root first.
+	for i := len(funcs) - 1; i >= 0; i-- {
+		if funcs[i] != "" {
+			agg.stack = append(agg.stack, funcs[i])
+		}
+	}
+	return agg
 }
 
 // internalFrame reports whether a function belongs to the lock, its
@@ -138,7 +162,7 @@ func (p *SiteProfiler) Top(n int) []Site {
 	p.mu.Lock()
 	aggs := make([]*siteAgg, 0, len(p.sites))
 	for _, s := range p.sites {
-		aggs = append(aggs, &siteAgg{pcs: s.pcs, count: s.count, wait: s.wait})
+		aggs = append(aggs, &siteAgg{leaf: s.leaf, stack: s.stack, count: s.count, wait: s.wait})
 	}
 	p.mu.Unlock()
 	sort.Slice(aggs, func(i, j int) bool {
@@ -152,12 +176,11 @@ func (p *SiteProfiler) Top(n int) []Site {
 	}
 	out := make([]Site, 0, len(aggs))
 	for _, a := range aggs {
-		leaf, stack := resolveStack(a.pcs)
 		out = append(out, Site{
-			Site:      leaf,
+			Site:      a.leaf,
 			Count:     a.count,
 			WaitNanos: int64(a.wait),
-			Stack:     stack,
+			Stack:     append([]string(nil), a.stack...),
 		})
 	}
 	return out
@@ -206,31 +229,4 @@ func TopTable(sites []Site) string {
 		fmt.Fprintf(&sb, "%8d  %14v  %s\n", s.Count, time.Duration(s.WaitNanos), s.Site)
 	}
 	return sb.String()
-}
-
-// resolveStack symbolizes pcs into a leaf description and a root-first
-// frame list.
-func resolveStack(pcs []uintptr) (leaf string, stack []string) {
-	frames := runtime.CallersFrames(pcs)
-	for {
-		f, more := frames.Next()
-		if f.Function != "" {
-			if leaf == "" {
-				leaf = fmt.Sprintf("%s (%s:%d)", f.Function, path.Base(f.File), f.Line)
-			}
-			stack = append(stack, f.Function)
-		}
-		if !more {
-			break
-		}
-	}
-	// runtime.CallersFrames yields leaf first; folded stacks want root
-	// first.
-	for i, j := 0, len(stack)-1; i < j; i, j = i+1, j-1 {
-		stack[i], stack[j] = stack[j], stack[i]
-	}
-	if leaf == "" {
-		leaf = "(unknown)"
-	}
-	return leaf, stack
 }

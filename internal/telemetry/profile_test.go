@@ -25,6 +25,15 @@ func coldAcquire(m *native.Mutex) {
 	m.Unlock()
 }
 
+// hotLoop is small enough to be inlined into its caller, so the hot
+// site's stacks carry an inlined frame: the profiler must report it
+// once, not expand it again.
+func hotLoop(m *native.Mutex, n int) {
+	for k := 0; k < n; k++ {
+		hotAcquire(m)
+	}
+}
+
 // twoSiteWorkload contends m from two call sites, hot (6 goroutines x 8
 // acquisitions) and cold (2 goroutines x 1), while the main goroutine
 // holds the lock long enough that every acquisition is contended.
@@ -36,9 +45,7 @@ func twoSiteWorkload(t *testing.T, m *native.Mutex) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := 0; k < 8; k++ {
-				hotAcquire(m)
-			}
+			hotLoop(m, 8)
 		}()
 	}
 	for i := 0; i < 2; i++ {
@@ -99,6 +106,13 @@ func TestProfilerTwoSites(t *testing.T) {
 		}
 		if len(s.Stack) == 0 {
 			t.Errorf("site %q has an empty stack", s.Site)
+		}
+		// The workload does not recurse: a frame repeated back to back
+		// is an inlined call expanded twice.
+		for i := 1; i < len(s.Stack); i++ {
+			if s.Stack[i] == s.Stack[i-1] {
+				t.Errorf("site %q: frame %q doubled in stack %v", s.Site, s.Stack[i], s.Stack)
+			}
 		}
 	}
 }
