@@ -162,6 +162,26 @@ func (c *chaosCluster) waitLeader(skip int) int {
 	return -1
 }
 
+// waitConverged polls until every live node's log is as long as the
+// log of node li.
+func (c *chaosCluster) waitConverged(li int) {
+	c.t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		want, done := c.nodes[li].node.LogLen(), true
+		for _, n := range c.nodes {
+			if !n.dead && n.node.LogLen() != want {
+				done = false
+			}
+		}
+		if done {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.t.Fatalf("logs did not converge on node %d's within 2s", c.nodes[li].id)
+}
+
 // kill SIGKILLs node i in process: replica loop stops, server dies
 // abruptly — held locks stay held, nothing says goodbye. The journal
 // object survives (its file did too) and is flushed at verify time.
@@ -477,6 +497,11 @@ func chaosScriptRun(t *testing.T, seed int64) ([]uint64, map[int][]replica.Trans
 	}
 	tokens = append(tokens, h1.Token)
 
+	// A grant returns once a quorum holds its entry, so the second
+	// learner may still lack it. Which learner wins the next election
+	// depends on whose log is complete, so kill the leader only once
+	// both are: the script then starts every run from the same state.
+	c.waitConverged(li)
 	c.kill(li)
 
 	if err := cl.Release(ctx, h1); err != nil {
