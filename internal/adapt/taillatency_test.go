@@ -13,6 +13,12 @@ import (
 // demonstration: after a long calm phase, one bad window must flip the
 // policy to sleep even though the lifetime mean (and even the lifetime
 // p99) still look healthy — a lifetime-average policy would not react.
+
+// observeWait feeds o one contended acquisition that waited d.
+func observeWait(o *obs.LockObserver, d sim.Duration) {
+	o.LockEvent(core.Event{Kind: core.EventAcquire, Waited: d})
+}
+
 func TestTailLatencySwitchesOnWindowedP99NotLifetimeAverage(t *testing.T) {
 	o := obs.NewLockObserver()
 	p := &TailLatencyHysteresis{
@@ -23,7 +29,7 @@ func TestTailLatencySwitchesOnWindowedP99NotLifetimeAverage(t *testing.T) {
 
 	// Calm phase: 10k fast waits.
 	for i := 0; i < 10000; i++ {
-		o.ObserveWait(sim.Us(10))
+		observeWait(o, sim.Us(10))
 	}
 	snapCalm := core.Snapshot{Contended: 10000, WaitTotal: 10000 * sim.Us(10)}
 	if d := p.Decide(core.Snapshot{}, snapCalm); d.Reconfigure {
@@ -35,7 +41,7 @@ func TestTailLatencySwitchesOnWindowedP99NotLifetimeAverage(t *testing.T) {
 
 	// Burst window: 50 slow waits land before the next probe.
 	for i := 0; i < 50; i++ {
-		o.ObserveWait(sim.Us(5000))
+		observeWait(o, sim.Us(5000))
 	}
 	snapBurst := core.Snapshot{Contended: 10050, WaitTotal: 10000*sim.Us(10) + 50*sim.Us(5000)}
 
@@ -63,14 +69,14 @@ func TestTailLatencySwitchesOnWindowedP99NotLifetimeAverage(t *testing.T) {
 	// Recovery: fast windows bring the p99 under the spin bound; the
 	// policy must switch back exactly once (hysteresis, no flapping).
 	for i := 0; i < 100; i++ {
-		o.ObserveWait(sim.Us(10))
+		observeWait(o, sim.Us(10))
 	}
 	d = p.Decide(snapBurst, snapBurst)
 	if !d.Reconfigure || d.Params.Kind() != core.PolicySpin {
 		t.Fatalf("recovery decision = %+v, want switch to spin", d)
 	}
 	for i := 0; i < 100; i++ {
-		o.ObserveWait(sim.Us(10))
+		observeWait(o, sim.Us(10))
 	}
 	if d = p.Decide(snapBurst, snapBurst); d.Reconfigure {
 		t.Fatalf("policy flapped on a steady window: %+v", d)
@@ -87,7 +93,7 @@ func TestTailLatencyHysteresisBand(t *testing.T) {
 	p.Decide(core.Snapshot{}, core.Snapshot{}) // prime
 	// A window with p99 inside the band must not reconfigure either way.
 	for i := 0; i < 100; i++ {
-		o.ObserveWait(sim.Us(500))
+		observeWait(o, sim.Us(500))
 	}
 	if d := p.Decide(core.Snapshot{}, core.Snapshot{}); d.Reconfigure {
 		t.Fatalf("reconfigured inside the hysteresis band: %+v", d)
@@ -104,7 +110,7 @@ func TestTailLatencyMinSamples(t *testing.T) {
 	}
 	p.Decide(core.Snapshot{}, core.Snapshot{}) // prime
 	// A single outlier is not a trend.
-	o.ObserveWait(sim.Us(100000))
+	observeWait(o, sim.Us(100000))
 	if d := p.Decide(core.Snapshot{}, core.Snapshot{}); d.Reconfigure {
 		t.Fatalf("reconfigured on %d samples with MinSamples=5: %+v", 1, d)
 	}
@@ -121,7 +127,7 @@ func TestTailLatencyAgentEndToEnd(t *testing.T) {
 	sys := newSys(8)
 	l := core.New(sys, core.Options{Params: core.SpinParams()})
 	o := obs.NewLockObserver()
-	l.SetLatencyObserver(o)
+	l.SetEventSink(o)
 	pol := &TailLatencyHysteresis{
 		Obs:           o,
 		SleepAboveP99: sim.Us(2000),

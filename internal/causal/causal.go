@@ -6,10 +6,9 @@
 // recorded spans.
 //
 // The package sits below the telemetry layer: telemetry, lockd,
-// lockclient, and scenario all import causal; causal imports only sim
-// and trace. core.Lock hooks in through its own CausalObserver
-// interface (structural typing — SimTracker satisfies it without causal
-// importing core).
+// lockclient, and scenario all import causal. A simulated core.Lock
+// feeds causal through its one event sink: SimTracker is a
+// core.EventSink.
 package causal
 
 import (

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cthread"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Costs collects the software-overhead constants of the configurable lock,
@@ -157,10 +156,7 @@ type Lock struct {
 
 	server *activeServer // non-nil for active locks
 
-	tracer   *trace.Tracer   // nil unless SetTracer was called
-	label    string          // object name used in trace events
-	observer LatencyObserver // nil unless SetLatencyObserver was called
-	causal   CausalObserver  // nil unless SetCausalObserver was called
+	sink EventSink // NopSink unless SetEventSink was called (event.go)
 
 	// Robustness machinery (see robust.go).
 	injector         FaultInjector       // nil unless SetFaultInjector was called
@@ -171,108 +167,6 @@ type Lock struct {
 	ownerDiedPending bool                // undelivered EOWNERDEAD to the next owner
 
 	module int // memory module currently holding the lock's words
-}
-
-// SetTracer attaches a trace ring buffer; label names this lock in the
-// timeline. Pass nil to disable.
-func (l *Lock) SetTracer(t *trace.Tracer, label string) {
-	l.tracer = t
-	l.label = label
-}
-
-// Label returns the object name set by SetTracer ("" when untraced). The
-// telemetry registry uses it as the default registration name.
-func (l *Lock) Label() string { return l.label }
-
-// LatencyObserver receives individual wait, hold and idle durations from
-// the lock's hot paths, so an observability layer can maintain
-// distributions (histograms, percentiles) rather than the monitor's
-// lifetime totals. Like the monitor counters, observer updates model
-// piggybacked monitoring hardware: they charge no simulated time.
-// Implementations must not call back into the lock.
-type LatencyObserver interface {
-	// ObserveWait is called once per contended acquisition with the
-	// registration-to-grant delay.
-	ObserveWait(d sim.Duration)
-	// ObserveHold is called once per release with the grant-to-release
-	// tenure.
-	ObserveHold(d sim.Duration)
-	// ObserveIdle is called once per completed idle span (one locking
-	// cycle) with its duration.
-	ObserveIdle(d sim.Duration)
-}
-
-// SetLatencyObserver attaches a latency observer. Pass nil to detach.
-func (l *Lock) SetLatencyObserver(o LatencyObserver) { l.observer = o }
-
-// CausalObserver receives ownership and wait transitions from the lock's
-// hot paths so the causal layer (internal/causal.SimTracker) can build
-// acquisition spans and maintain the process-wide wait-for graph. Like
-// LatencyObserver, calls charge no simulated time and must not call back
-// into the lock. Every LockWait is eventually paired with exactly one
-// LockWaitDone; LockOwner fires at every ownership change (actor "" =
-// freed).
-type CausalObserver interface {
-	// LockWait: actor failed the fast path and entered the waiting
-	// policy; holder names the owner at registration ("" if racing a
-	// release).
-	LockWait(at sim.Time, actor, holder string)
-	// LockWaitDone: the wait ended — acquired=false means a conditional
-	// acquisition was abandoned.
-	LockWaitDone(at sim.Time, actor string, acquired bool)
-	// LockOwner: ownership changed hands ("" = the lock is now free).
-	LockOwner(at sim.Time, actor string)
-}
-
-// SetCausalObserver attaches a causal observer. Pass nil to detach.
-func (l *Lock) SetCausalObserver(o CausalObserver) { l.causal = o }
-
-// TeeCausalObserver fans causal callbacks out to several observers
-// (nils skipped), so a causal tracker and an event journal can watch
-// one lock through the single observer slot. With zero or one
-// effective observer it returns nil or the observer itself.
-func TeeCausalObserver(obs ...CausalObserver) CausalObserver {
-	var eff []CausalObserver
-	for _, o := range obs {
-		if o != nil {
-			eff = append(eff, o)
-		}
-	}
-	switch len(eff) {
-	case 0:
-		return nil
-	case 1:
-		return eff[0]
-	}
-	return teeCausal(eff)
-}
-
-type teeCausal []CausalObserver
-
-func (t teeCausal) LockWait(at sim.Time, actor, holder string) {
-	for _, o := range t {
-		o.LockWait(at, actor, holder)
-	}
-}
-
-func (t teeCausal) LockWaitDone(at sim.Time, actor string, acquired bool) {
-	for _, o := range t {
-		o.LockWaitDone(at, actor, acquired)
-	}
-}
-
-func (t teeCausal) LockOwner(at sim.Time, actor string) {
-	for _, o := range t {
-		o.LockOwner(at, actor)
-	}
-}
-
-// emit records a trace event if tracing is enabled.
-func (l *Lock) emit(at sim.Time, k trace.Kind, actor, detail string) {
-	if l.tracer == nil {
-		return
-	}
-	l.tracer.Emit(trace.Event{At: at, Kind: k, Actor: actor, Object: l.label, Detail: detail})
 }
 
 // New creates a passive reconfigurable lock.
@@ -304,6 +198,7 @@ func New(sys *cthread.System, opts Options) *Lock {
 		sched:     opts.Scheduler,
 		threshold: opts.Threshold,
 		perThread: make(map[int64]Params),
+		sink:      NopSink,
 		module:    opts.Module,
 	}
 	for i := range l.schedSub {
@@ -398,16 +293,15 @@ func (l *Lock) acquire(t *cthread.Thread, deadline sim.Time) bool {
 	// Γ_Reg: registration — "the cost of one write operation on primary
 	// memory" (the thread's identity).
 	l.regW.Write(t, t.ID())
-	l.emit(t.Now(), trace.LockRequest, t.Name(), "")
+	l.note(EventRequest, t.Now(), t.Name(), "")
 	l.lockGuard(t)
 	if l.ownerW.Read(t) == 0 {
 		l.ownerW.Write(t, t.ID())
 		l.mon.acquisitions++
-		l.mon.holdStart = t.Now()
 		l.mon.transition(StateLocked) // Figure 4: unlocked -> locked
 		l.setOwner(t)
 		l.unlockGuard(t)
-		l.emit(t.Now(), trace.LockAcquire, t.Name(), "uncontended")
+		l.note(EventAcquire, t.Now(), t.Name(), "")
 		l.injectHolderStall(t)
 		return true
 	}
@@ -419,13 +313,11 @@ func (l *Lock) acquire(t *cthread.Thread, deadline sim.Time) bool {
 		l.mon.maxQueue = len(l.queue)
 	}
 	l.mon.contended++
-	if l.causal != nil {
-		holder := ""
-		if l.ownerT != nil {
-			holder = l.ownerT.Name()
-		}
-		l.causal.LockWait(t.Now(), t.Name(), holder)
+	holder := ""
+	if l.ownerT != nil {
+		holder = l.ownerT.Name()
 	}
+	l.sink.LockEvent(Event{Kind: EventWait, At: t.Now(), Actor: t.Name(), Other: holder})
 	l.unlockGuard(t)
 	l.injectWaiterPreempt(t)
 	return l.wait(t, e)
@@ -537,21 +429,16 @@ func (l *Lock) refreshPolicy(t *cthread.Thread, old Params) Params {
 
 // granted finalizes a successful contended acquisition.
 func (l *Lock) granted(t *cthread.Thread, e *entry) bool {
+	now := t.Now()
+	waited, idle := sim.Duration(now-e.regAt), sim.Duration(now-l.mon.idleStart)
 	l.mon.acquisitions++
-	l.mon.waitTotal += sim.Duration(t.Now() - e.regAt)
+	l.mon.waitTotal += waited
 	// Figure 4: idle -> locked; the idle span just ended is one locking
 	// cycle (the grantee has completed its acquisition).
 	l.mon.transition(StateLocked)
-	l.mon.idleTotal += sim.Duration(t.Now() - l.mon.idleStart)
+	l.mon.idleTotal += idle
 	l.mon.idleSpans++
-	if l.observer != nil {
-		l.observer.ObserveWait(sim.Duration(t.Now() - e.regAt))
-		l.observer.ObserveIdle(sim.Duration(t.Now() - l.mon.idleStart))
-	}
-	if l.causal != nil {
-		l.causal.LockWaitDone(t.Now(), t.Name(), true)
-	}
-	l.emit(t.Now(), trace.LockAcquire, t.Name(), fmt.Sprintf("waited %v", sim.Duration(t.Now()-e.regAt)))
+	l.sink.LockEvent(Event{Kind: EventAcquire, At: now, Actor: t.Name(), Waited: waited, Idle: idle})
 	l.injectHolderStall(t)
 	return true
 }
@@ -579,10 +466,7 @@ func (l *Lock) abandonLocked(t *cthread.Thread, e *entry) bool {
 	t.Compute(l.costs.QueueOp)
 	l.mon.failures++
 	l.unlockGuard(t)
-	if l.causal != nil {
-		l.causal.LockWaitDone(t.Now(), t.Name(), false)
-	}
-	l.emit(t.Now(), trace.LockTimeout, t.Name(), "conditional acquisition abandoned")
+	l.note(EventTimeout, t.Now(), t.Name(), "conditional acquisition abandoned")
 	return false
 }
 
@@ -622,12 +506,11 @@ func (l *Lock) UnlockTo(t *cthread.Thread, target *cthread.Thread) {
 // scheduler, or free it. byT is the thread executing the release module
 // (the unlocker for passive locks, the server for active locks).
 func (l *Lock) release(byT *cthread.Thread, hint int64) {
-	l.emit(byT.Now(), trace.LockRelease, byT.Name(), "")
+	l.note(EventUnlock, byT.Now(), byT.Name(), "")
 	l.lockGuard(byT)
-	l.mon.holdTotal += sim.Duration(byT.Now() - l.mon.holdStart)
-	if l.observer != nil {
-		l.observer.ObserveHold(sim.Duration(byT.Now() - l.mon.holdStart))
-	}
+	held := sim.Duration(byT.Now() - l.mon.holdStart)
+	l.mon.holdTotal += held
+	l.sink.LockEvent(Event{Kind: EventRelease, At: byT.Now(), Actor: byT.Name(), Held: held})
 	// "The extra work required to check for currently blocked threads."
 	_ = l.regW.Read(byT)
 	// Timed-out conditional waiters must leave the registration queue
@@ -659,11 +542,10 @@ func (l *Lock) release(byT *cthread.Thread, hint int64) {
 	byT.Compute(l.costs.QueueOp)
 	l.ownerW.Write(byT, e.t.ID())
 	l.mon.grants++
-	l.mon.holdStart = byT.Now()
 	l.setOwner(e.t)
 	sleeping := e.sleeping
 	l.unlockGuard(byT)
-	l.emit(byT.Now(), trace.LockGrant, byT.Name(), fmt.Sprintf("-> %s (%s)", e.t.Name(), l.sched))
+	l.sink.LockEvent(Event{Kind: EventGrant, At: byT.Now(), Actor: byT.Name(), Other: e.t.Name(), Detail: l.sched.String()})
 	if sleeping {
 		l.mon.wakeups++
 		byT.Unblock(e.t)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cthread"
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // Migrate relocates the lock object's words to another memory module —
@@ -56,7 +55,7 @@ func (l *Lock) Migrate(t *cthread.Thread, mod int) error {
 	ng.Poke(1) // new guard born held by us
 	l.guard = ng
 	l.module = mod
-	l.emit(t.Now(), trace.Reconfigure, t.Name(), fmt.Sprintf("migrated to module %d", mod))
+	l.notef(EventReconfig, t.Now(), t.Name(), "migrated to module %d", mod)
 	l.unlockGuard(t)     // release the new guard
 	oldGuard.Write(t, 0) // and the old one, freeing any spinners on it
 	return nil

@@ -114,20 +114,26 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
-// recordingObserver verifies the Lock -> LatencyObserver hook.
+// recordingObserver collects the durations the lock's events carry.
 type recordingObserver struct {
 	waits, holds, idles []sim.Duration
 }
 
-func (r *recordingObserver) ObserveWait(d sim.Duration) { r.waits = append(r.waits, d) }
-func (r *recordingObserver) ObserveHold(d sim.Duration) { r.holds = append(r.holds, d) }
-func (r *recordingObserver) ObserveIdle(d sim.Duration) { r.idles = append(r.idles, d) }
+func (r *recordingObserver) LockEvent(e Event) {
+	switch {
+	case e.Kind == EventAcquire && e.Waited > 0:
+		r.waits = append(r.waits, e.Waited)
+		r.idles = append(r.idles, e.Idle)
+	case e.Kind == EventRelease:
+		r.holds = append(r.holds, e.Held)
+	}
+}
 
 func TestLatencyObserverHooks(t *testing.T) {
 	sys := newSys(3)
 	l := New(sys, Options{Params: SpinParams()})
 	rec := &recordingObserver{}
-	l.SetLatencyObserver(rec)
+	l.SetEventSink(rec)
 	for i := 0; i < 2; i++ {
 		i := i
 		sys.Spawn("w", i, 0, func(th *cthread.Thread) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cthread"
-	"repro/internal/trace"
 )
 
 // Errors returned by the reconfiguration operations.
@@ -45,8 +44,7 @@ func (l *Lock) Possess(t *cthread.Thread, a Attr) error {
 			l.attrOwnT[a] = t
 			l.mon.possessions++
 			l.mon.possessRecoveries++
-			l.emit(t.Now(), trace.OwnerDeath, t.Name(),
-				fmt.Sprintf("stole %s possession from dead agent %q", a, prev.Name()))
+			l.notef(EventOwnerDeath, t.Now(), t.Name(), "stole %s possession from dead agent %q", a, prev.Name())
 			return nil
 		}
 		return ErrAlreadyPossessed
@@ -106,7 +104,7 @@ func (l *Lock) ConfigureWaiting(t *cthread.Thread, p Params) error {
 	l.paramsW.Write(t, p.pack()) // 1W
 	l.params = p
 	l.mon.reconfigWaiting++
-	l.emit(t.Now(), trace.Reconfigure, t.Name(), "waiting policy -> "+p.Kind().String())
+	l.note(EventReconfig, t.Now(), t.Name(), "waiting policy -> "+p.Kind().String())
 	return nil
 }
 
@@ -148,7 +146,7 @@ func (l *Lock) ConfigureScheduler(t *cthread.Thread, k SchedulerKind) error {
 	}
 	l.schedFlag.Write(t, 1) // 1W: set the configuration-delay flag
 	l.mon.reconfigScheduler++
-	l.emit(t.Now(), trace.Reconfigure, t.Name(), "scheduler -> "+k.String())
+	l.note(EventReconfig, t.Now(), t.Name(), "scheduler -> "+k.String())
 	if len(l.queue) == 0 {
 		// No pre-registered threads: the old scheduler is discarded now.
 		l.sched = k

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cthread"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FaultInjector is consulted at the lock's fault-injection points. The
@@ -40,7 +37,7 @@ func (l *Lock) injectHolderStall(t *cthread.Thread) {
 		return
 	}
 	if d, ok := l.injector.HolderStall(); ok && d > 0 {
-		l.emit(t.Now(), trace.FaultInject, t.Name(), fmt.Sprintf("holder stall %v", d))
+		l.notef(EventFault, t.Now(), t.Name(), "holder stall %v", d)
 		t.Compute(d)
 	}
 }
@@ -51,7 +48,7 @@ func (l *Lock) injectReleaseDelay(t *cthread.Thread) {
 		return
 	}
 	if d, ok := l.injector.ReleaseDelay(); ok && d > 0 {
-		l.emit(t.Now(), trace.FaultInject, t.Name(), fmt.Sprintf("delayed release %v", d))
+		l.notef(EventFault, t.Now(), t.Name(), "delayed release %v", d)
 		t.Compute(d)
 	}
 }
@@ -65,7 +62,7 @@ func (l *Lock) injectWaiterPreempt(t *cthread.Thread) {
 		return
 	}
 	if d, ok := l.injector.WaiterPreempt(); ok && d > 0 {
-		l.emit(t.Now(), trace.FaultInject, t.Name(), fmt.Sprintf("waiter preempted %v", d))
+		l.notef(EventFault, t.Now(), t.Name(), "waiter preempted %v", d)
 		t.Sleep(d)
 	}
 }
@@ -87,7 +84,7 @@ type WatchdogEvent struct {
 
 // SetHoldDeadline arms a per-lock watchdog: any holder that keeps the
 // lock longer than d trips it, incrementing the WatchdogTrips counter,
-// emitting a trace event, and invoking the watchdog callback. A tripped
+// emitting an EventWatchdog, and invoking the watchdog callback. A tripped
 // watchdog also checks the holder for death (thread exited while owning
 // the lock) and force-releases on its behalf, so a crashed holder
 // surfaces as an owner death to the monitor — and via ConsumeOwnerDied to
@@ -109,22 +106,23 @@ func (l *Lock) HoldDeadline() sim.Duration { return l.holdDeadline }
 // to degrade to a safe policy when holders misbehave.
 func (l *Lock) SetWatchdogFunc(fn func(WatchdogEvent)) { l.onWatchdog = fn }
 
-// setOwner records an ownership change: owner bookkeeping, watchdog
-// re-arming, and the causal ownership hook. t is nil when the lock
-// becomes free.
+// setOwner records an ownership change at the current instant: owner
+// bookkeeping, the new tenure's start, watchdog re-arming, and the
+// EventOwner event. t is nil when the lock becomes free.
 func (l *Lock) setOwner(t *cthread.Thread) {
+	now := l.m.Eng.Now()
+	ev := Event{Kind: EventOwner, At: now}
+	if l.ownerT != nil {
+		ev.Other, ev.Held = l.ownerT.Name(), sim.Duration(now-l.mon.holdStart)
+	}
 	l.ownerT = t
 	l.holdSeq++
 	if t != nil {
+		ev.Actor = t.Name()
+		l.mon.holdStart = now
 		l.armWatchdog()
 	}
-	if l.causal != nil {
-		name := ""
-		if t != nil {
-			name = t.Name()
-		}
-		l.causal.LockOwner(l.m.Eng.Now(), name)
-	}
+	l.sink.LockEvent(ev)
 }
 
 // armWatchdog schedules the hold-deadline check for the current tenure.
@@ -161,10 +159,7 @@ func (l *Lock) watchdogFire(seq uint64) {
 		OwnerName: l.ownerT.Name(),
 		Held:      sim.Duration(now - l.mon.holdStart),
 	}
-	if l.tracer != nil {
-		l.tracer.Emit(trace.Event{At: now, Kind: trace.WatchdogTrip, Actor: ev.OwnerName, Object: l.label,
-			Detail: fmt.Sprintf("held %v > deadline %v", ev.Held, l.holdDeadline)})
-	}
+	l.notef(EventWatchdog, now, ev.OwnerName, "held %v > deadline %v", ev.Held, l.holdDeadline)
 	if l.ownerT.State() == cthread.Done {
 		ev.Died = true
 		l.recoverDead(now)
@@ -190,10 +185,7 @@ func (l *Lock) recoverDead(now sim.Time) {
 	l.mon.ownerDeaths++
 	l.mon.holdTotal += sim.Duration(now - l.mon.holdStart)
 	l.ownerDiedPending = true
-	if l.tracer != nil {
-		l.tracer.Emit(trace.Event{At: now, Kind: trace.OwnerDeath, Actor: dead.Name(), Object: l.label,
-			Detail: "owner died holding the lock; force-released"})
-	}
+	l.note(EventOwnerDeath, now, dead.Name(), "owner died holding the lock; force-released")
 	l.purgeExpired(now, nil)
 	if l.havePending && len(l.queue) == 0 {
 		l.sched = l.pendingSched
@@ -212,12 +204,8 @@ func (l *Lock) recoverDead(now sim.Time) {
 	l.queue = rest
 	l.ownerW.Poke(e.t.ID())
 	l.mon.grants++
-	l.mon.holdStart = now
 	l.setOwner(e.t)
-	if l.tracer != nil {
-		l.tracer.Emit(trace.Event{At: now, Kind: trace.LockGrant, Actor: "watchdog", Object: l.label,
-			Detail: fmt.Sprintf("-> %s (recovery, %s)", e.t.Name(), l.sched)})
-	}
+	l.sink.LockEvent(Event{Kind: EventGrant, At: now, Actor: "watchdog", Other: e.t.Name(), Detail: "recovery, " + l.sched.String()})
 	if e.sleeping {
 		l.mon.wakeups++
 		l.sys.WakeFromCallback(e.t)
@@ -259,10 +247,7 @@ func (l *Lock) purgeExpired(now sim.Time, byT *cthread.Thread) {
 			if byT != nil {
 				byT.Compute(l.costs.QueueOp)
 			}
-			if l.tracer != nil {
-				l.tracer.Emit(trace.Event{At: now, Kind: trace.Abandon, Actor: e.t.Name(), Object: l.label,
-					Detail: "expired waiter removed from registration queue"})
-			}
+			l.note(EventAbandon, now, e.t.Name(), "expired waiter removed from registration queue")
 			continue
 		}
 		kept = append(kept, e)

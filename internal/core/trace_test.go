@@ -1,22 +1,40 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cthread"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
+// The trace package consumes the lock's events, so these tests live
+// outside package core.
+
+func newSys(procs int) *cthread.System {
+	cfg := machine.DefaultGP1000()
+	cfg.Procs = procs
+	return cthread.NewSystem(machine.New(cfg))
+}
+
+func mustRun(t *testing.T, s *cthread.System) {
+	t.Helper()
+	if err := s.M.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLockEmitsTraceTimeline(t *testing.T) {
 	s := newSys(4)
-	l := New(s, Options{Params: SleepParams()})
+	l := core.New(s, core.Options{Params: core.SleepParams()})
 	tr := trace.New(64)
-	l.SetTracer(tr, "buffer-lock")
+	l.SetEventSink(tr.Sink("buffer-lock"))
 
 	s.Spawn("holder", 0, 0, func(th *cthread.Thread) {
 		l.Lock(th)
-		_ = l.Advise(th, SpinParams())
+		_ = l.Advise(th, core.SpinParams())
 		th.Compute(sim.Us(1000))
 		l.Unlock(th)
 	})
@@ -68,9 +86,9 @@ func TestLockEmitsTraceTimeline(t *testing.T) {
 
 func TestTimeoutEmitsTraceEvent(t *testing.T) {
 	s := newSys(4)
-	l := New(s, Options{Params: ConditionalParams(SleepParams(), sim.Us(200))})
+	l := core.New(s, core.Options{Params: core.ConditionalParams(core.SleepParams(), sim.Us(200))})
 	tr := trace.New(32)
-	l.SetTracer(tr, "cond-lock")
+	l.SetEventSink(tr.Sink("cond-lock"))
 	s.Spawn("holder", 0, 0, func(th *cthread.Thread) {
 		l.Lock(th)
 		th.Compute(sim.Us(5000))
@@ -93,10 +111,10 @@ func TestTimeoutEmitsTraceEvent(t *testing.T) {
 
 func TestUntracedLockIsSilent(t *testing.T) {
 	s := newSys(2)
-	l := New(s, Options{})
+	l := core.New(s, core.Options{})
 	s.Spawn("t", 0, 0, func(th *cthread.Thread) {
 		l.Lock(th)
 		l.Unlock(th)
 	})
-	mustRun(t, s) // must not panic despite nil tracer
+	mustRun(t, s) // must not panic with no sink attached
 }

@@ -107,7 +107,7 @@ const (
 	OriginUnknown Origin = iota
 	// OriginNative: a native.Mutex event sink.
 	OriginNative
-	// OriginSim: a simulated core.Lock causal observer (At is sim-time
+	// OriginSim: a simulated core.Lock (At is sim-time
 	// nanoseconds, not wall clock).
 	OriginSim
 	// OriginLockd: the lock service's server-side view of a lease.

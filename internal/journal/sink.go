@@ -1,11 +1,6 @@
 package journal
 
-import (
-	"sync"
-
-	"repro/internal/native"
-	"repro/internal/sim"
-)
+import "repro/internal/native"
 
 // Sink adapts one native.Mutex's event stream into journal records.
 // Attach with m.SetEventSink(j.Sink("name")) — or TeeSink it with a
@@ -75,87 +70,4 @@ func (s *Sink) LockEvent(e native.LockEvent) {
 		rec.DurNs = int64(e.Held)
 	}
 	sh.push(&rec)
-}
-
-// SimSink journals one simulated core.Lock's lifecycle. It satisfies
-// core.CausalObserver structurally (this package does not import core):
-// attach with lock.SetCausalObserver(sink), or tee it with a causal
-// tracker via core.TeeCausalObserver. Record timestamps are simulated
-// nanoseconds (Origin OriginSim flags that for readers).
-type SimSink struct {
-	j    *Journal
-	lock uint32
-
-	mu        sync.Mutex
-	waitStart map[string]int64
-	agents    map[string]uint32
-	holder    string
-	holdAt    int64
-}
-
-// NewSimSink builds a SimSink journaling under the given lock name.
-func NewSimSink(j *Journal, lock string) *SimSink {
-	return &SimSink{
-		j:         j,
-		lock:      j.InternLock(lock),
-		waitStart: make(map[string]int64),
-		agents:    make(map[string]uint32),
-	}
-}
-
-func (s *SimSink) agentID(actor string) uint32 {
-	if id, ok := s.agents[actor]; ok {
-		return id
-	}
-	id := s.j.InternAgent(actor)
-	s.agents[actor] = id
-	return id
-}
-
-// LockWait implements core.CausalObserver.
-func (s *SimSink) LockWait(at sim.Time, actor, holder string) {
-	s.mu.Lock()
-	s.waitStart[actor] = int64(at)
-	id := s.agentID(actor)
-	s.mu.Unlock()
-	s.j.Append(Record{Kind: KindWait, Origin: OriginSim, AtNs: int64(at), Lock: s.lock, Agent: id})
-}
-
-// LockWaitDone implements core.CausalObserver. Grants are journaled by
-// LockOwner; only the abandoned waits record here.
-func (s *SimSink) LockWaitDone(at sim.Time, actor string, acquired bool) {
-	s.mu.Lock()
-	delete(s.waitStart, actor)
-	id := s.agentID(actor)
-	s.mu.Unlock()
-	if !acquired {
-		s.j.Append(Record{Kind: KindTimeout, Origin: OriginSim, AtNs: int64(at), Lock: s.lock, Agent: id})
-	}
-}
-
-// LockOwner implements core.CausalObserver.
-func (s *SimSink) LockOwner(at sim.Time, actor string) {
-	s.mu.Lock()
-	prev, prevAt := s.holder, s.holdAt
-	s.holder, s.holdAt = actor, int64(at)
-	var prevID, id uint32
-	if prev != "" {
-		prevID = s.agentID(prev)
-	}
-	var waited int64
-	if actor != "" {
-		id = s.agentID(actor)
-		if start, ok := s.waitStart[actor]; ok {
-			waited = int64(at) - start
-		}
-	}
-	s.mu.Unlock()
-	if prev != "" {
-		s.j.Append(Record{Kind: KindRelease, Origin: OriginSim, AtNs: int64(at),
-			Lock: s.lock, Agent: prevID, DurNs: int64(at) - prevAt})
-	}
-	if actor != "" {
-		s.j.Append(Record{Kind: KindAcquire, Origin: OriginSim, AtNs: int64(at),
-			Lock: s.lock, Agent: id, DurNs: waited})
-	}
 }

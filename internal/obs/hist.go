@@ -4,7 +4,9 @@
 // deltas and recent percentiles.
 //
 // The monitor (internal/core) aggregates totals; the tracer
-// (internal/trace) records interleavings; obs keeps distributions.
+// (internal/trace) records interleavings; obs keeps distributions. The
+// tracer and LockObserver both read the lock's one event stream: each is
+// a core.EventSink.
 // Averages hide tail behavior, and it is the tail — the p99 wait, not the
 // mean — that should drive spin-vs-sleep and fairness reconfiguration
 // decisions. All record paths are allocation-free so they can model

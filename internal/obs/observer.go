@@ -1,33 +1,34 @@
 package obs
 
-import (
-	"repro/internal/core"
-	"repro/internal/sim"
-)
+import "repro/internal/core"
 
 // LockObserver maintains wait, hold and idle latency histograms for one
-// lock. Attach it with core.Lock.SetLatencyObserver; the lock's hot paths
-// then feed it one duration per contended acquisition (wait), per release
-// (hold) and per completed locking cycle (idle).
+// lock. It is a core.EventSink: attach it with core.Lock.SetEventSink
+// (or tee it with other sinks), and the lock's events feed it one
+// duration per contended acquisition (wait), per release (hold) and per
+// completed locking cycle (idle).
 type LockObserver struct {
 	wait Histogram
 	hold Histogram
 	idle Histogram
 }
 
-var _ core.LatencyObserver = (*LockObserver)(nil)
+var _ core.EventSink = (*LockObserver)(nil)
 
 // NewLockObserver returns an empty observer.
 func NewLockObserver() *LockObserver { return &LockObserver{} }
 
-// ObserveWait implements core.LatencyObserver.
-func (o *LockObserver) ObserveWait(d sim.Duration) { o.wait.Record(d) }
-
-// ObserveHold implements core.LatencyObserver.
-func (o *LockObserver) ObserveHold(d sim.Duration) { o.hold.Record(d) }
-
-// ObserveIdle implements core.LatencyObserver.
-func (o *LockObserver) ObserveIdle(d sim.Duration) { o.idle.Record(d) }
+// LockEvent implements core.EventSink. A contended acquisition carries
+// both its wait and the locking cycle it ends.
+func (o *LockObserver) LockEvent(e core.Event) {
+	switch {
+	case e.Kind == core.EventAcquire && e.Waited > 0:
+		o.wait.Record(e.Waited)
+		o.idle.Record(e.Idle)
+	case e.Kind == core.EventRelease:
+		o.hold.Record(e.Held)
+	}
+}
 
 // Wait returns a snapshot of the wait-latency histogram (registration to
 // grant, contended acquisitions only).

@@ -23,7 +23,7 @@ func runContended(t *testing.T, workers, rounds int, every sim.Duration, maxWind
 	sys := newSys(workers + 1)
 	l := core.New(sys, core.Options{Params: core.CombinedParams(10)})
 	o := NewLockObserver()
-	l.SetLatencyObserver(o)
+	l.SetEventSink(o)
 	smp := &Sampler{Lock: l, Obs: o, Every: every, MaxWindows: maxWindows, Keep: maxWindows}
 	for i := 0; i < workers; i++ {
 		i := i

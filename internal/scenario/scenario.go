@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cthread"
 	"repro/internal/fault"
-	"repro/internal/journal"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -108,11 +107,6 @@ type Config struct {
 	// into causal.DefaultFlight. lockstat -critical-path feeds the
 	// recorded spans to causal.AnalyzeCriticalPath.
 	Causal bool
-
-	// Journal, when non-nil, journals the lock's lifecycle (sim-time
-	// records under the RegisterAs name, default "lock"). Composes with
-	// Causal via core.TeeCausalObserver.
-	Journal *journal.Journal
 }
 
 // Result is what a scenario run produces.
@@ -212,35 +206,30 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.HoldDeadline > 0 {
 		lock.SetHoldDeadline(cfg.HoldDeadline)
 	}
+	var sinks []core.EventSink
 	if cfg.TraceEvents > 0 {
 		res.Tracer = trace.New(cfg.TraceEvents)
-		lock.SetTracer(res.Tracer, "lock")
+		sinks = append(sinks, res.Tracer.Sink("lock"))
 	}
-	if cfg.Causal || cfg.Journal != nil {
+	if cfg.Causal {
 		object := cfg.RegisterAs
 		if object == "" {
 			object = "lock"
 		}
-		var observers []core.CausalObserver
-		if cfg.Causal {
-			res.CausalRec = causal.NewRecorder(8192)
-			res.CausalGraph = causal.NewGraph()
-			observers = append(observers, &causal.SimTracker{
-				Object: object,
-				Rec:    res.CausalRec,
-				Graph:  res.CausalGraph,
-				Flight: causal.DefaultFlight,
-			})
-		}
-		if cfg.Journal != nil {
-			observers = append(observers, journal.NewSimSink(cfg.Journal, object))
-		}
-		lock.SetCausalObserver(core.TeeCausalObserver(observers...))
+		res.CausalRec = causal.NewRecorder(8192)
+		res.CausalGraph = causal.NewGraph()
+		sinks = append(sinks, &causal.SimTracker{
+			Object: object,
+			Rec:    res.CausalRec,
+			Graph:  res.CausalGraph,
+			Flight: causal.DefaultFlight,
+		})
 	}
 	if cfg.Observe || cfg.SampleEvery > 0 {
 		res.Observer = obs.NewLockObserver()
-		lock.SetLatencyObserver(res.Observer)
+		sinks = append(sinks, res.Observer)
 	}
+	lock.SetEventSink(core.TeeSink(sinks...))
 	if cfg.RegisterAs != "" || cfg.Registry != nil {
 		reg := cfg.Registry
 		if reg == nil {

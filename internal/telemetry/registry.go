@@ -226,20 +226,11 @@ type CoreEntry struct {
 }
 
 // RegisterCore registers a simulated lock (and, optionally, its latency
-// observer) under name; an empty name falls back to the lock's trace
-// label. The entry is empty until the first Publish.
+// observer) under name. The entry is empty until the first Publish.
 func (r *Registry) RegisterCore(name string, l *core.Lock, o *obs.LockObserver) *CoreEntry {
-	if name == "" {
-		name = l.Label()
-	}
 	ce := &CoreEntry{lock: l, obs: o}
 	ce.Entry = r.add(name, "sim", nil, nil)
 	return ce
-}
-
-// RegisterCore registers a simulated lock in the default registry.
-func RegisterCore(name string, l *core.Lock, o *obs.LockObserver) *CoreEntry {
-	return Default.RegisterCore(name, l, o)
 }
 
 // Publish snapshots the lock's monitor (and observer histograms, when

@@ -21,7 +21,7 @@ func simLockState(t *testing.T, r *Registry, name string) *CoreEntry {
 	sys := cthread.NewSystem(machine.New(machine.DefaultGP1000()))
 	l := core.New(sys, core.Options{Params: core.CombinedParams(10)})
 	o := obs.NewLockObserver()
-	l.SetLatencyObserver(o)
+	l.SetEventSink(o)
 	ce := r.RegisterCore(name, l, o)
 	for i := 0; i < 4; i++ {
 		sys.Spawn(fmt.Sprintf("w%d", i), i, 0, func(th *cthread.Thread) {

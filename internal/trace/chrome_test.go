@@ -113,7 +113,7 @@ func TestChromeEventsPairing(t *testing.T) {
 func TestChromeOpenSpanClosedAtEnd(t *testing.T) {
 	tr := New(8)
 	tr.Emit(Event{At: sim.Time(sim.Us(5)), Kind: LockAcquire, Actor: "a", Object: "L"})
-	tr.Emit(Event{At: sim.Time(sim.Us(50)), Kind: Custom, Actor: "a", Object: "L"})
+	tr.Emit(Event{At: sim.Time(sim.Us(50)), Kind: Reconfigure, Actor: "a", Object: "L"})
 	evs := ChromeEvents(tr.Events())
 	var spans []ChromeEvent
 	for _, e := range evs {
@@ -147,7 +147,7 @@ func TestChromeNilAndEmptyTracer(t *testing.T) {
 func TestSummaryReportsDropped(t *testing.T) {
 	tr := New(2)
 	for i := 0; i < 5; i++ {
-		tr.Emit(Event{At: sim.Time(sim.Us(float64(i))), Kind: Custom, Actor: "a", Object: "L"})
+		tr.Emit(Event{At: sim.Time(sim.Us(float64(i))), Kind: Reconfigure, Actor: "a", Object: "L"})
 	}
 	// Capacity 2, 5 emits: 3 overwritten by ring overflow.
 	if got := tr.Dropped(); got != 3 {
@@ -159,7 +159,7 @@ func TestSummaryReportsDropped(t *testing.T) {
 	}
 	// A ring that never overflowed stays silent about drops.
 	quiet := New(10)
-	quiet.Emit(Event{Kind: Custom, Actor: "a", Object: "L"})
+	quiet.Emit(Event{Kind: Reconfigure, Actor: "a", Object: "L"})
 	if s := quiet.Summary(); strings.Contains(s, "dropped") {
 		t.Errorf("Summary = %q, want no dropped report", s)
 	}

@@ -1,11 +1,11 @@
 // Package trace records simulation events — lock operations, grants,
-// reconfigurations, thread state changes — into a bounded ring buffer and
-// renders them as a timeline. It is the observability companion to the
-// lock monitor: the monitor aggregates, the trace shows the interleaving.
+// reconfigurations, faults — into a bounded ring buffer and renders them
+// as a timeline. It is the observability companion to the lock monitor:
+// the monitor aggregates, the trace shows the interleaving.
 //
-// Tracing is pull-based and zero-cost when disabled: producers call
-// Tracer.Emit, and a nil *Tracer is a valid no-op receiver, so call sites
-// need no conditionals.
+// A simulated core.Lock feeds a tracer through Tracer.Sink, which formats
+// an event's detail only when it records it. A nil *Tracer is a valid
+// no-op receiver.
 package trace
 
 import (
@@ -13,6 +13,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -27,43 +28,22 @@ const (
 	LockGrant
 	LockTimeout
 	Reconfigure
-	ThreadBlock
-	ThreadWake
-	Custom
 	FaultInject
 	WatchdogTrip
 	OwnerDeath
 	Abandon
 )
 
+var kindNames = [...]string{
+	LockRequest: "request", LockAcquire: "acquire", LockRelease: "release",
+	LockGrant: "grant", LockTimeout: "timeout", Reconfigure: "reconfigure",
+	FaultInject: "fault", WatchdogTrip: "watchdog", OwnerDeath: "owner-death",
+	Abandon: "abandon",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case LockRequest:
-		return "request"
-	case LockAcquire:
-		return "acquire"
-	case LockRelease:
-		return "release"
-	case LockGrant:
-		return "grant"
-	case LockTimeout:
-		return "timeout"
-	case Reconfigure:
-		return "reconfigure"
-	case ThreadBlock:
-		return "block"
-	case ThreadWake:
-		return "wake"
-	case Custom:
-		return "custom"
-	case FaultInject:
-		return "fault"
-	case WatchdogTrip:
-		return "watchdog"
-	case OwnerDeath:
-		return "owner-death"
-	case Abandon:
-		return "abandon"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -93,7 +73,6 @@ type Tracer struct {
 	next    int
 	wrapped bool
 	dropped int64
-	filter  func(Event) bool
 }
 
 // New creates a tracer retaining the most recent capacity events.
@@ -104,22 +83,9 @@ func New(capacity int) *Tracer {
 	return &Tracer{buf: make([]Event, 0, capacity)}
 }
 
-// SetFilter installs a predicate; events it rejects are counted as dropped
-// but not stored. A nil filter stores everything.
-func (t *Tracer) SetFilter(f func(Event) bool) {
-	if t == nil {
-		return
-	}
-	t.filter = f
-}
-
 // Emit records an event. Safe on a nil receiver (no-op).
 func (t *Tracer) Emit(e Event) {
 	if t == nil {
-		return
-	}
-	if t.filter != nil && !t.filter(e) {
-		t.dropped++
 		return
 	}
 	if len(t.buf) < cap(t.buf) {
@@ -133,12 +99,43 @@ func (t *Tracer) Emit(e Event) {
 	t.wrapped = true
 }
 
-// Emitf is Emit with a formatted detail string.
-func (t *Tracer) Emitf(at sim.Time, k Kind, actor, object, format string, args ...interface{}) {
-	if t == nil {
+// Sink adapts t into a core.EventSink that records the lock's timeline
+// events under object: attach with lock.SetEventSink(t.Sink(object)).
+// Wait, ownership and release-hold events have no timeline line.
+func (t *Tracer) Sink(object string) core.EventSink { return sink{t: t, object: object} }
+
+type sink struct {
+	t      *Tracer
+	object string
+}
+
+// timeline maps the core event kinds that have a timeline line to their
+// trace kinds.
+var timeline = map[core.EventKind]Kind{
+	core.EventRequest: LockRequest, core.EventAcquire: LockAcquire,
+	core.EventTimeout: LockTimeout, core.EventUnlock: LockRelease,
+	core.EventGrant: LockGrant, core.EventReconfig: Reconfigure,
+	core.EventFault: FaultInject, core.EventWatchdog: WatchdogTrip,
+	core.EventOwnerDeath: OwnerDeath, core.EventAbandon: Abandon,
+}
+
+// LockEvent implements core.EventSink.
+func (s sink) LockEvent(e core.Event) {
+	k, ok := timeline[e.Kind]
+	if !ok || s.t == nil {
 		return
 	}
-	t.Emit(Event{At: at, Kind: k, Actor: actor, Object: object, Detail: fmt.Sprintf(format, args...)})
+	detail := e.Detail
+	switch e.Kind {
+	case core.EventAcquire:
+		detail = "uncontended"
+		if e.Waited > 0 {
+			detail = fmt.Sprintf("waited %v", e.Waited)
+		}
+	case core.EventGrant:
+		detail = fmt.Sprintf("-> %s (%s)", e.Other, e.Detail)
+	}
+	s.t.Emit(Event{At: e.At, Kind: k, Actor: e.Actor, Object: s.object, Detail: detail})
 }
 
 // Events returns the retained events in chronological order.
@@ -165,8 +162,8 @@ func (t *Tracer) Len() int {
 	return len(t.buf)
 }
 
-// Dropped reports events lost to the tracer: rejected by the filter or
-// overwritten by ring overflow.
+// Dropped reports events lost to the tracer: overwritten by ring
+// overflow.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -182,7 +179,7 @@ func (t *Tracer) Dump(w io.Writer) {
 }
 
 // Summary counts events per kind, rendered as "kind=N" pairs. Events lost
-// to filtering or ring overflow are reported as a trailing "dropped=N", so
+// to ring overflow are reported as a trailing "dropped=N", so
 // a wrapped ring is never mistaken for the full timeline.
 func (t *Tracer) Summary() string {
 	counts := map[Kind]int{}

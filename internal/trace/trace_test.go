@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -15,8 +16,6 @@ func ev(atUs float64, k Kind, actor string) Event {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(ev(1, LockRequest, "a")) // must not panic
-	tr.Emitf(0, LockGrant, "a", "L", "x=%d", 1)
-	tr.SetFilter(func(Event) bool { return true })
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -41,7 +40,7 @@ func TestEmitAndOrder(t *testing.T) {
 func TestRingWrapKeepsMostRecentInOrder(t *testing.T) {
 	tr := New(3)
 	for i := 0; i < 7; i++ {
-		tr.Emit(ev(float64(i), Custom, "a"))
+		tr.Emit(ev(float64(i), Reconfigure, "a"))
 	}
 	es := tr.Events()
 	if len(es) != 3 {
@@ -52,20 +51,6 @@ func TestRingWrapKeepsMostRecentInOrder(t *testing.T) {
 		if es[i].At != sim.Time(sim.Us(w)) {
 			t.Fatalf("events = %v, want times %v", es, want)
 		}
-	}
-}
-
-func TestFilterCountsDropped(t *testing.T) {
-	tr := New(10)
-	tr.SetFilter(func(e Event) bool { return e.Kind == LockGrant })
-	tr.Emit(ev(1, LockRequest, "a"))
-	tr.Emit(ev(2, LockGrant, "a"))
-	tr.Emit(ev(3, LockRelease, "a"))
-	if tr.Len() != 1 {
-		t.Fatalf("len = %d, want 1", tr.Len())
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", tr.Dropped())
 	}
 }
 
@@ -86,15 +71,27 @@ func TestDumpAndSummary(t *testing.T) {
 	}
 }
 
-func TestEmitfFormatsDetail(t *testing.T) {
-	tr := New(4)
-	tr.Emitf(sim.Time(sim.Us(9)), Reconfigure, "agent", "L", "policy -> %s", "sleep")
+func TestSinkFormatsDetail(t *testing.T) {
+	tr := New(8)
+	snk := tr.Sink("L")
+	at := sim.Time(sim.Us(9))
+	snk.LockEvent(core.Event{Kind: core.EventAcquire, At: at, Actor: "a"})
+	snk.LockEvent(core.Event{Kind: core.EventAcquire, At: at, Actor: "b", Waited: sim.Us(2)})
+	snk.LockEvent(core.Event{Kind: core.EventGrant, At: at, Actor: "a", Other: "b", Detail: "fcfs"})
+	snk.LockEvent(core.Event{Kind: core.EventReconfig, At: at, Actor: "agent", Detail: "policy -> sleep"})
+	snk.LockEvent(core.Event{Kind: core.EventOwner, At: at, Actor: "b", Other: "a"}) // no timeline line
+	want := []string{"uncontended", "waited 2.00us", "-> b (fcfs)", "policy -> sleep"}
 	es := tr.Events()
-	if es[0].Detail != "policy -> sleep" {
-		t.Fatalf("detail = %q", es[0].Detail)
+	if len(es) != len(want) {
+		t.Fatalf("recorded %d events, want %d", len(es), len(want))
 	}
-	if !strings.Contains(es[0].String(), "reconfigure") {
-		t.Fatalf("String() = %q", es[0].String())
+	for i, w := range want {
+		if es[i].Detail != w || es[i].Object != "L" {
+			t.Errorf("event %d = %q on %q, want %q on L", i, es[i].Detail, es[i].Object, w)
+		}
+	}
+	if !strings.Contains(es[3].String(), "reconfigure") {
+		t.Fatalf("String() = %q", es[3].String())
 	}
 }
 
@@ -102,7 +99,6 @@ func TestKindStrings(t *testing.T) {
 	kinds := map[Kind]string{
 		LockRequest: "request", LockAcquire: "acquire", LockRelease: "release",
 		LockGrant: "grant", LockTimeout: "timeout", Reconfigure: "reconfigure",
-		ThreadBlock: "block", ThreadWake: "wake", Custom: "custom",
 	}
 	for k, w := range kinds {
 		if k.String() != w {
