@@ -138,7 +138,9 @@ type Node struct {
 	mu          sync.Mutex
 	srv         *lockd.Server
 	selfAddr    string
-	clusterIDs  []int // sorted, self included
+	clusterIDs  []int         // sorted, self included
+	delay       time.Duration // cached election delay before standing for term delayFor
+	delayFor    uint64        // 0 = nothing cached
 	role        Role
 	term        uint64
 	votedTerm   uint64 // highest term this node has voted in
@@ -401,8 +403,12 @@ func (n *Node) run() {
 // permutation of member ids for that term, spaced half a lease apart.
 // Every node computes the same permutation, so candidacies are ordered
 // and well separated — the first live node in the permutation wins,
-// deterministically for a given seed and fault script.
+// deterministically for a given seed and fault script. The lease loop
+// asks on every tick, so the delay is computed once per term.
 func (n *Node) electionDelayLocked() time.Duration {
+	if n.delayFor == n.term+1 {
+		return n.delay
+	}
 	ids := append([]int(nil), n.clusterIDs...)
 	seed := int64(uint64(n.cfg.Seed) ^ (n.term+1)*0x9e3779b97f4a7c15)
 	r := rand.New(rand.NewSource(seed))
@@ -414,7 +420,8 @@ func (n *Node) electionDelayLocked() time.Duration {
 			break
 		}
 	}
-	return n.lease + time.Duration(pos)*(n.lease/2)
+	n.delay, n.delayFor = n.lease+time.Duration(pos)*(n.lease/2), n.term+1
+	return n.delay
 }
 
 // runElection stands for term+1 and, on a quorum of votes, promotes

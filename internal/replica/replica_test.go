@@ -304,3 +304,26 @@ func TestShadowReplayRebuildsAfterTruncation(t *testing.T) {
 		t.Fatalf("truncated replay: %+v, want fence 1 free", lk)
 	}
 }
+
+// TestElectionDelayCachedPerTerm: every learner's lease-loop tick asks
+// for the election delay. It is computed once per term: the cached value
+// matches a fresh computation, and asking again allocates nothing.
+func TestElectionDelayCachedPerTerm(t *testing.T) {
+	n := &Node{cfg: Config{ID: 2, Seed: 7}, lease: 90 * time.Millisecond, clusterIDs: []int{1, 2, 3, 4, 5}}
+	seen := map[time.Duration]bool{}
+	for term := uint64(0); term < 8; term++ {
+		n.term = term
+		cached := n.electionDelayLocked()
+		if allocs := testing.AllocsPerRun(20, func() { n.electionDelayLocked() }); allocs != 0 {
+			t.Fatalf("term %d: repeated call allocates %v times", term, allocs)
+		}
+		n.delayFor = 0 // drop the cache
+		if fresh := n.electionDelayLocked(); cached != fresh {
+			t.Fatalf("term %d: cached delay %v, fresh computation %v", term, cached, fresh)
+		}
+		seen[cached] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("delay never varied across terms: %v", seen)
+	}
+}
