@@ -35,7 +35,7 @@ test:
 race:
 	$(GO) test -race -timeout 10m ./...
 
-check: build vet staticcheck race fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke perfbench-smoke benchdiff
+check: build vet staticcheck race chaos fuzz serve-smoke lockd-smoke deadlock-smoke lockmon-smoke journal-smoke ha-smoke timeline-smoke perfbench-smoke benchdiff
 
 # Regenerate the paper's tables and figures.
 bench:
@@ -124,7 +124,12 @@ verify:
 # faulted scenario twice with the same seed — the reports must match.
 chaos:
 	$(GO) test ./internal/scenario -run TestChaos -count=1 -v
-	$(GO) run ./cmd/lockstat -n 6 -iters 5 -faults 'stall:every=3:us=2500,crash:every=9' -degrade
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/lockstat" ./cmd/lockstat && \
+	for run in 1 2; do \
+		"$$d/lockstat" -n 6 -iters 5 -faults 'stall:every=3:us=2500,crash:every=9' -degrade -json > "$$d/run$$run.json" || exit 1; \
+	done && \
+	cmp "$$d/run1.json" "$$d/run2.json" && echo "chaos: two same-seed runs wrote identical reports"
 
 # Short fuzz smoke of every fuzzer: the Params pack/unpack codec, the
 # metrics exposition parser, and the lockd wire decoders held to
