@@ -93,11 +93,15 @@ journal-smoke:
 # deterministic same-seed election traces, plus the client-side
 # failover path — and the leader's per-peer replicators: Proposes
 # outrun a delayed learner, group commit, heartbeat-only idling, and
-# log lag read from the match indexes.
+# log lag read from the match indexes; and the bounded log: every node's
+# retained log stays within the compaction cap, and a learner isolated
+# past the cap catches up by snapshot, then takes over with tokens still
+# climbing (the package's tests run with the compaction chunk lowered to
+# two entries, so every scenario here compacts).
 # HA_SMOKE_DIR keeps the per-node journal segments on failure so CI can
 # upload them as an artifact.
 ha-smoke:
-	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosKillLearnerMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace|TestProposeOutrunsSlowLearner|TestProposesGroupCommit|TestIdleLeaderOnlyHeartbeats|TestLogLagFromMatch'
+	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosKillLearnerMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace|TestProposeOutrunsSlowLearner|TestProposesGroupCommit|TestIdleLeaderOnlyHeartbeats|TestLogLagFromMatch|TestCompactionBoundsLog|TestIsolatedLearnerCatchesUpBySnapshot|TestSnapshotRenderRoundTrip'
 	$(GO) test ./internal/lockclient -race -count=1 -v -run 'TestClusterFailoverOnLeaderKill|TestFailoverResetsBackoff'
 
 # Cluster-timeline smoke: a two-node replicated cluster with wall
@@ -132,14 +136,16 @@ chaos:
 	cmp "$$d/run1.json" "$$d/run2.json" && echo "chaos: two same-seed runs wrote identical reports"
 
 # Short fuzz smoke of every fuzzer: the Params pack/unpack codec, the
-# metrics exposition parser, and the lockd wire decoders held to
-# encoding/json (raise -fuzztime for a real fuzzing session). go test
-# fuzzes one target per run, hence one line each.
+# metrics exposition parser, the lockd wire decoders held to
+# encoding/json, and the replication log's mutation decoder (raise
+# -fuzztime for a real fuzzing session). go test fuzzes one target per
+# run, hence one line each.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParamsPackRoundtrip$$' -fuzztime 5s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 5s
 	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s
 	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s
+	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 5s
 
 clean:
 	$(GO) clean ./...

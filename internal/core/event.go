@@ -32,9 +32,13 @@ const (
 	EventGrant   // Actor handed the lock to Other; Detail names the scheduler
 	EventReconfig
 	EventFault
-	EventWatchdog   // the hold deadline tripped on owner Actor
-	EventOwnerDeath // a dead owner or attribute possessor was recovered from
-	EventAbandon    // the release module dropped Actor, an expired conditional waiter
+	EventWatchdog // the hold deadline tripped on owner Actor
+	// EventOwnerDeath: a dead owner or attribute possessor was recovered
+	// from. A force-released lock tenure carries Held, as EventRelease
+	// does: every ended tenure is one of the two. An attribute
+	// possession carries no Held.
+	EventOwnerDeath
+	EventAbandon // the release module dropped Actor, an expired conditional waiter
 )
 
 // Event is one transition of the lock object, stamped with the simulated

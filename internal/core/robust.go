@@ -182,10 +182,12 @@ func (l *Lock) watchdogFire(seq uint64) {
 // critical section through ConsumeOwnerDied (robust-mutex semantics).
 func (l *Lock) recoverDead(now sim.Time) {
 	dead := l.ownerT
+	held := sim.Duration(now - l.mon.holdStart)
 	l.mon.ownerDeaths++
-	l.mon.holdTotal += sim.Duration(now - l.mon.holdStart)
+	l.mon.holdTotal += held
 	l.ownerDiedPending = true
-	l.note(EventOwnerDeath, now, dead.Name(), "owner died holding the lock; force-released")
+	l.sink.LockEvent(Event{Kind: EventOwnerDeath, At: now, Actor: dead.Name(), Held: held,
+		Detail: "owner died holding the lock; force-released"})
 	l.purgeExpired(now, nil)
 	if l.havePending && len(l.queue) == 0 {
 		l.sched = l.pendingSched

@@ -34,6 +34,14 @@ var requestSeeds = []string{
 	`{"id":40,"op":"repl-append","hlc":115224746733544000,"term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":40,"prev_term":2,"entries":[{"term":2,"frames":"AQIDBAUGBwg="},{"term":2,"frames":""}]}`,
 	`{"id":41,"op":"repl-append","term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":42,"prev_term":2}`,
 	`{"id":42,"op":"repl-vote","term":3,"from":1,"log_len":42,"last_term":2}`,
+	`{"id":43,"op":"repl-append","hlc":115224746733544100,"term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":42,"prev_term":2,"entries":[{"term":2,"frames":"AQIDBAUGBwg="}],"commit":42}`,
+	`{"id":44,"op":"repl-append","term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":43,"prev_term":2,"commit":43}`,
+	`{"id":45,"op":"repl-snapshot","hlc":115224746733544200,"term":3,"from":1,"leader_addr":"127.0.0.1:7701","prev_index":4096,"prev_term":3,"entries":[{"term":3,"frames":"AQIDBAUGBwg="},{"term":3,"frames":"CQoLDA=="}]}`,
+	`{"id":46,"op":"repl-snapshot","term":3,"from":1,"leader_addr":"127.0.0.1:7701","prev_index":4096,"prev_term":3,"entries":[{"term":3,"frames":"AQIDBAUGBwg="}],"offset":1024,"done":true}`,
+	`{"id":47,"op":"repl-snapshot","term":3,"from":1,"prev_index":4096,"prev_term":3,"offset":0,"done":false}`,
+	`{"id":48,"op":"repl-snapshot","done":1}`,
+	`{"id":49,"op":"repl-append","commit":-1}`,
+	`{"id":50,"op":"repl-snapshot","done":true,"done":false,"offset":3,"offset":4}`,
 	`{"id":13,"op":"exorcise"}` + "\n",
 	// Constructs outside the canonical form.
 	`{"id":1,"op":"acquire","lock":"a\"b\\c\n"}`,

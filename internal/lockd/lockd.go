@@ -489,8 +489,14 @@ func (s *Server) serveConn(c net.Conn) {
 
 	var pending sync.WaitGroup
 	br := bufio.NewReaderSize(c, 4096)
+	var long []byte // storage of the last line longer than br's buffer
 	for {
-		line, err := ReadLine(br, maxLineBytes)
+		line, err := readLine(br, maxLineBytes, long)
+		if len(line) > br.Size() {
+			// Peer appends outgrow the buffer whenever a learner lags:
+			// keep their storage for the next one.
+			long = line[:0]
+		}
 		if err == errLineTooLong {
 			// A protocol error, not connection death: the oversized line
 			// has been consumed, so the conn keeps serving.
@@ -511,7 +517,7 @@ func (s *Server) serveConn(c net.Conn) {
 		// Merge the sender's clock before any handler runs (or any
 		// record is journaled) on this request's behalf.
 		s.cfg.Clock.Update(hlc.Time(req.HLC))
-		if req.Op == OpReplAppend || req.Op == OpReplVote {
+		if req.Op == OpReplAppend || req.Op == OpReplVote || req.Op == OpReplSnapshot {
 			// Peer replication traffic: answered inline (strictly ordered
 			// per conn) and never leadership-gated.
 			if s.cfg.Replica == nil {

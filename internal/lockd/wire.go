@@ -69,6 +69,13 @@ const (
 	OpReplAppend = "repl-append"
 	// OpReplVote requests a leadership vote for Term from a peer.
 	OpReplVote = "repl-vote"
+	// OpReplSnapshot installs the leader's snapshot on a learner whose
+	// next entry the leader has already compacted away. The snapshot is
+	// the state at log index PrevIndex (of term PrevTerm), rendered as
+	// synthetic mutations in Entries and shipped in pieces: Offset counts
+	// the entries of earlier pieces, and Done marks the last.
+	// Peer-to-peer only.
+	OpReplSnapshot = "repl-snapshot"
 )
 
 // Response codes (Code is empty on a plain success).
@@ -141,12 +148,14 @@ type Request struct {
 	Policy string `json:"policy,omitempty"`
 	Sched  string `json:"sched,omitempty"`
 
-	// replication (repl-append, repl-vote): sender's term and replica
-	// id. Appends carry the leader's client-facing address (the NotLeader
-	// hint learners hand out), the log position the entries extend
-	// (PrevIndex = leader log length before them, PrevTerm = term of the
-	// entry just before), and the entries. Votes carry the candidate's
-	// log credentials for the election-safety check.
+	// replication (repl-append, repl-vote, repl-snapshot): sender's term
+	// and replica id. Appends carry the leader's client-facing address
+	// (the NotLeader hint learners hand out), the log position the
+	// entries extend (PrevIndex = leader log length before them, PrevTerm
+	// = term of the entry just before), the entries, and the leader's
+	// commit index. Votes carry the candidate's log credentials for the
+	// election-safety check. Snapshot pieces carry Offset and Done (see
+	// OpReplSnapshot).
 	Term       uint64      `json:"term,omitempty"`
 	From       int         `json:"from,omitempty"`
 	LeaderAddr string      `json:"leader_addr,omitempty"`
@@ -155,6 +164,9 @@ type Request struct {
 	Entries    []ReplEntry `json:"entries,omitempty"`
 	LogLen     uint64      `json:"log_len,omitempty"`
 	LastTerm   uint64      `json:"last_term,omitempty"`
+	Commit     uint64      `json:"commit,omitempty"`
+	Offset     uint64      `json:"offset,omitempty"`
+	Done       bool        `json:"done,omitempty"`
 }
 
 // ReplEntry is one replication-log entry on the wire: the term it was
@@ -321,6 +333,9 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	}
 	dst = appendUintField(dst, `,"log_len":`, r.LogLen)
 	dst = appendUintField(dst, `,"last_term":`, r.LastTerm)
+	dst = appendUintField(dst, `,"commit":`, r.Commit)
+	dst = appendUintField(dst, `,"offset":`, r.Offset)
+	dst = appendBoolField(dst, `,"done":true`, r.Done)
 	return append(dst, '}', '\n')
 }
 
@@ -499,6 +514,12 @@ func parseRequest(line []byte, r *Request) bool {
 			r.LogLen = s.uint()
 		case "last_term":
 			r.LastTerm = s.uint()
+		case "commit":
+			r.Commit = s.uint()
+		case "offset":
+			r.Offset = s.uint()
+		case "done":
+			r.Done = s.bool()
 		default:
 			// Unknown, case-folded or malformed key: json.Unmarshal
 			// decides (it ignores, folds or rejects).
@@ -660,7 +681,7 @@ func (s *scanner) code() string { return s.known(codeNames) }
 
 var (
 	opNames = []string{OpHello, OpAcquire, OpRelease, OpHeartbeat, OpReconfigure,
-		OpStat, OpBye, OpReplAppend, OpReplVote}
+		OpStat, OpBye, OpReplAppend, OpReplVote, OpReplSnapshot}
 	codeNames = []string{CodeOverloaded, CodeTimeout, CodeExpired, CodeAlreadyHeld,
 		CodeStaleToken, CodeBadRequest, CodeShutdown, CodeNotLeader, CodeUnavailable}
 )
@@ -797,13 +818,18 @@ var errLineTooLong = errors.New("lockd: request line too long")
 // drained to its newline and reported as errLineTooLong — a protocol
 // error, not connection death (bufio.Scanner's ErrTooLong would end the
 // read loop). Any other error is a real I/O condition.
-func ReadLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
+func ReadLine(br *bufio.Reader, max int) ([]byte, error) { return readLine(br, max, nil) }
+
+// readLine is ReadLine assembling a line longer than br's buffer in
+// buf's storage, so a caller that passes back what the last long line
+// returned (sliced to zero length) reuses it.
+func readLine(br *bufio.Reader, max int, buf []byte) ([]byte, error) {
+	line := buf[:0]
 	for {
 		frag, err := br.ReadSlice('\n')
 		switch err {
 		case nil:
-			if line == nil {
+			if len(line) == 0 {
 				return frag, nil
 			}
 			line = append(line, frag...)

@@ -5,8 +5,9 @@ import "repro/internal/core"
 // LockObserver maintains wait, hold and idle latency histograms for one
 // lock. It is a core.EventSink: attach it with core.Lock.SetEventSink
 // (or tee it with other sinks), and the lock's events feed it one
-// duration per contended acquisition (wait), per release (hold) and per
-// completed locking cycle (idle).
+// duration per contended acquisition (wait), per ended tenure (hold: a
+// release, or a dead owner's force-released tenure) and per completed
+// locking cycle (idle).
 type LockObserver struct {
 	wait Histogram
 	hold Histogram
@@ -25,7 +26,7 @@ func (o *LockObserver) LockEvent(e core.Event) {
 	case e.Kind == core.EventAcquire && e.Waited > 0:
 		o.wait.Record(e.Waited)
 		o.idle.Record(e.Idle)
-	case e.Kind == core.EventRelease:
+	case e.Kind == core.EventRelease, e.Kind == core.EventOwnerDeath && e.Held > 0:
 		o.hold.Record(e.Held)
 	}
 }

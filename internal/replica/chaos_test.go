@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -561,4 +562,95 @@ func TestChaosSameSeedSameTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIsolatedLearnerCatchesUpBySnapshot: a learner cut off from its
+// peers falls past the leader's compaction cap, so the entries it lacks
+// are gone from every log. Healed, it must catch up by installing a
+// snapshot. Then the leader dies and, with the third node unable to
+// campaign, the snapshot-installed node takes over: its tokens must
+// climb past every token granted before, and the merged journals must
+// verify clean — no snapshot state is echoed as history.
+func TestIsolatedLearnerCatchesUpBySnapshot(t *testing.T) {
+	c := startChaosCluster(t, 3, 100*time.Millisecond, 31)
+	li := c.waitLeader(-1)
+	lag, other := (li+1)%3, (li+2)%3
+
+	cdir := chaosDir(t, "client")
+	cj, err := journal.Open(journal.Config{Dir: cdir, FlushEvery: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("client journal: %v", err)
+	}
+	cl := chaosClient(t, c.addrList(), cj, 8)
+	defer cl.Close()
+	ctx := context.Background()
+	var last uint64
+	cycle := func(what string) {
+		t.Helper()
+		h, err := cl.Acquire(ctx, "snap")
+		if err != nil {
+			t.Fatalf("acquire %s: %v", what, err)
+		}
+		if h.Token <= last {
+			t.Fatalf("token regressed %s: %d after %d", what, h.Token, last)
+		}
+		last = h.Token
+		if err := cl.Release(ctx, h); err != nil {
+			t.Fatalf("release %s: %v", what, err)
+		}
+	}
+	cycle("before the partition")
+	c.waitConverged(li)
+
+	c.isolate(lag)
+	leader := c.nodes[li].node
+	for i := 0; leader.SnapshotIndex() <= uint64(c.nodes[lag].node.LogLen()); i++ {
+		if i == 200 {
+			t.Fatalf("leader never compacted past the isolated learner's log (%d entries)", c.nodes[lag].node.LogLen())
+		}
+		cycle("while a learner is isolated")
+	}
+
+	c.heal(lag)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ni := c.waitLeader(-1)
+		n := c.nodes[lag].node
+		if n.SnapshotInstalls() > 0 && n.LogLen() == c.nodes[ni].node.LogLen() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healed learner did not catch up by snapshot: %d installs, log %d vs leader's %d",
+				n.SnapshotInstalls(), n.LogLen(), c.nodes[ni].node.LogLen())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Kill whoever leads now (the heal may have forced an election), and
+	// cut the third node's outbound links so that only the
+	// snapshot-installed node can win the next one.
+	ni := c.waitLeader(-1)
+	if ni == lag {
+		t.Fatalf("the stale learner won an election before catching up")
+	}
+	c.waitConverged(ni)
+	if got, want := c.nodes[lag].node.ReplicatedState(), c.nodes[ni].node.ReplicatedState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot-installed node holds\n%+v\nleader holds\n%+v", got, want)
+	}
+	if ni == other {
+		other = li
+	}
+	c.kill(ni)
+	for j := range c.nodes {
+		if j != other {
+			c.brs[other][j].Drop()
+		}
+	}
+	if got := c.waitLeader(ni); got != lag {
+		t.Fatalf("node %d leads, want the snapshot-installed node %d", c.nodes[got].id, c.nodes[lag].id)
+	}
+	cycle("on the snapshot-installed leader")
+	cycle("on the snapshot-installed leader, again")
+	cl.Close()
+	c.verify(readClientJournal(t, cj, cdir))
 }

@@ -38,7 +38,22 @@
 //     learners reject mismatches and the leader backs its cursor up
 //     until the logs agree, truncating a deposed leader's uncommitted
 //     suffix. Votes carry (LastTerm, LogLen) so a candidate missing
-//     acknowledged entries cannot win.
+//     acknowledged entries cannot win. As in Raft, a leader advances
+//     its commit index only over an entry of its own term.
+//   - The log is bounded. Indexes are absolute; every node keeps a
+//     snapshot base — the state after the first baseIndex entries —
+//     and folds each entry into it once, as the commit index passes it
+//     (appends carry the leader's commit index to learners). Once a
+//     chunk of entries is folded, they are cut from the front of the
+//     log in place, so the retained log reuses one backing array. The
+//     leader folds only what every peer holds, until its log exceeds a
+//     fixed cap: then it folds to its commit index anyway, so a peer cut
+//     off from it cannot make the log grow without bound. A peer whose
+//     next entry has been cut is sent the base instead (repl-snapshot):
+//     the state rendered as synthetic mutations in the log's own
+//     format. Installing it replaces the learner's base and echoes
+//     nothing into its journal. A node promoted to leader serves the
+//     base plus the entries after it.
 //
 // Log entries reuse the journal's CRC-framed binary record format
 // (journal.EncodeRecordFrames): a replicated mutation IS a journal
@@ -96,6 +111,21 @@ type Transition struct {
 	Leader int
 }
 
+// Compaction sizes. A node cuts its folded prefix once it spans
+// compactChunk entries; the leader stops waiting for its slowest peer
+// once its retained log exceeds compactCapChunks chunks.
+const (
+	defaultCompactChunk = 1024
+	compactCapChunks    = 8
+)
+
+// compactChunk is defaultCompactChunk, and snapshotPiece the most
+// mutations one repl-snapshot message carries: a lock renders to ~200
+// bytes of wire, so 1024 keep a piece far inside the 1 MiB line limit
+// that a whole snapshot of ~5000 locks would pass. Tests lower both so
+// that short runs compact and installs cross piece boundaries.
+var compactChunk, snapshotPiece = defaultCompactChunk, 1024
+
 // ErrNotLeader is Propose's answer on a non-leader.
 var ErrNotLeader = errors.New("replica: not the leader")
 
@@ -149,20 +179,35 @@ type Node struct {
 	leaderAddr  string
 	lastLeader  time.Time // last valid leader/candidate contact
 	leaseUntil  time.Time // leader only: lease expiry
-	log         []lockd.ReplEntry
-	shadow      *shadow
+	installed   bool      // leader only: the server holds the promoted state
 	transitions []Transition
 	elections   int64
 	stepdowns   int64
 	started     bool
 	closed      bool
 
-	// Leader only, for the current term: one replicator per peer, and
-	// the commit index — the log prefix a quorum holds. committed is
-	// broadcast whenever commit, role, term or closed may have changed,
-	// and on every lease-loop tick so Propose can time out.
-	repl      []*replicator
+	// The log holds entries snapIndex+1 through lastIndex(); indexes are
+	// absolute and 1-based, so a log length is the index of its last
+	// entry. base is the state after entries 1 through baseIndex, each
+	// folded in once as the commit index passed it: snapIndex <=
+	// baseIndex <= commit. The state after the whole log is base plus
+	// the entries after baseIndex (liveShadowLocked), built only when
+	// this node is promoted. commit is the highest index known committed
+	// (learners learn it from appends). recv collects a snapshot
+	// arriving in pieces; installs counts snapshots installed.
+	log       []logEntry
+	snapIndex uint64
+	snapTerm  uint64
+	base      *shadow
+	baseIndex uint64
 	commit    uint64
+	recv      *snapRecv
+	installs  int64
+
+	// Leader only, for the current term: one replicator per peer.
+	// committed is broadcast whenever commit, role, term or closed may
+	// have changed, and on every lease-loop tick so Propose can time out.
+	repl      []*replicator
 	committed *sync.Cond
 	matchBuf  []uint64    // scratch for advanceLocked
 	ackBuf    []time.Time // scratch for advanceLocked
@@ -199,12 +244,12 @@ func New(cfg Config) *Node {
 		logf = log.Printf
 	}
 	n := &Node{
-		cfg:    cfg,
-		lease:  cfg.Lease,
-		logf:   logf,
-		shadow: newShadow(),
-		skew:   make(map[int]*hlc.SkewEstimator),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		lease: cfg.Lease,
+		logf:  logf,
+		base:  newShadow(),
+		skew:  make(map[int]*hlc.SkewEstimator),
+		stop:  make(chan struct{}),
 	}
 	n.committed = sync.NewCond(&n.mu)
 	return n
@@ -285,11 +330,12 @@ func (n *Node) LeaderAddr() string {
 	return n.leaderAddr
 }
 
-// LogLen returns the replication log length.
+// LogLen returns the replication log length: the index of the newest
+// entry, counting the entries compacted away.
 func (n *Node) LogLen() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.log)
+	return int(n.lastIndex())
 }
 
 // Transitions returns this node's observed leadership changes, in
@@ -302,15 +348,59 @@ func (n *Node) Transitions() []Transition {
 
 func (n *Node) quorumLocked() int { return len(n.clusterIDs)/2 + 1 }
 
+// logEntry is one retained log entry: its wire form and the mutation it
+// decodes to, kept so that folding it into the base decodes nothing.
+type logEntry struct {
+	lockd.ReplEntry
+	m lockd.Mutation
+}
+
+// lastIndex is the index of the newest log entry (0: none yet).
+func (n *Node) lastIndex() uint64 { return n.snapIndex + uint64(len(n.log)) }
+
+// termAt is the term of entry i, for snapIndex <= i <= lastIndex().
+func (n *Node) termAt(i uint64) uint64 {
+	if i == n.snapIndex {
+		return n.snapTerm
+	}
+	return n.log[i-n.snapIndex-1].Term
+}
+
+// liveShadowLocked builds the state after the whole log: the base plus
+// the entries not yet folded into it.
+func (n *Node) liveShadowLocked() *shadow {
+	return replayShadow(n.base, n.log[n.baseIndex-n.snapIndex:])
+}
+
+// compactLocked folds entries baseIndex+1 through to into the base, and
+// cuts the folded prefix from the log once it spans a chunk: the
+// retained entries move to the front of the same backing array.
+func (n *Node) compactLocked(to uint64) {
+	for ; n.baseIndex < to; n.baseIndex++ {
+		n.base.apply(n.log[n.baseIndex-n.snapIndex].m)
+	}
+	cut := n.baseIndex - n.snapIndex
+	if cut < uint64(compactChunk) {
+		return
+	}
+	n.snapTerm = n.termAt(n.baseIndex)
+	k := copy(n.log, n.log[cut:])
+	clear(n.log[k:])
+	n.log = n.log[:k]
+	n.snapIndex = n.baseIndex
+}
+
 // Gate implements lockd.Replica: leadership is only asserted while the
 // lease is live, so a partitioned leader stops serving before a new
 // term can start (lease intervals and election delays share the same
-// base, and election delays add at least one full lease on top).
+// base, and election delays add at least one full lease on top), and
+// only once the server holds the promoted state: a request served
+// before it would find held locks unbound and token floors unraised.
 func (n *Node) Gate() lockd.ReplGate {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return lockd.ReplGate{
-		Leader:     n.role == RoleLeader && time.Now().Before(n.leaseUntil),
+		Leader:     n.role == RoleLeader && n.installed && time.Now().Before(n.leaseUntil),
 		Term:       n.term,
 		LeaderAddr: n.leaderAddr,
 	}
@@ -335,12 +425,11 @@ func (n *Node) Propose(m lockd.Mutation) error {
 	if m.HLC == 0 {
 		m.HLC = uint64(n.cfg.Clock.Now())
 	}
-	n.log = append(n.log, lockd.ReplEntry{
-		Term:   n.term,
-		Frames: encodeMutation(m, n.cfg.Clock.PhysNow()),
+	n.log = append(n.log, logEntry{
+		ReplEntry: lockd.ReplEntry{Term: n.term, Frames: encodeMutation(m, n.cfg.Clock.PhysNow())},
+		m:         m,
 	})
-	n.shadow.apply(m)
-	idx, term := uint64(len(n.log)), n.term
+	idx, term := n.lastIndex(), n.term
 	n.advanceLocked(time.Now()) // a one-node cluster commits here
 	for _, r := range n.repl {
 		r.poke()
@@ -425,7 +514,8 @@ func (n *Node) electionDelayLocked() time.Duration {
 }
 
 // runElection stands for term+1 and, on a quorum of votes, promotes
-// this node: the shadow state becomes the serving state.
+// this node: the replicated state (base plus the log after it) becomes
+// the serving state.
 func (n *Node) runElection() {
 	n.mu.Lock()
 	if n.role == RoleLeader || n.closed {
@@ -438,11 +528,8 @@ func (n *Node) runElection() {
 	n.votedTerm, n.votedFor = term, n.cfg.ID
 	n.lastLeader = time.Now()
 	n.elections++
-	logLen := uint64(len(n.log))
-	var lastTerm uint64
-	if logLen > 0 {
-		lastTerm = n.log[logLen-1].Term
-	}
+	logLen := n.lastIndex()
+	lastTerm := n.termAt(logLen)
 	peers := n.peers
 	self := n.selfAddr
 	n.mu.Unlock()
@@ -503,23 +590,22 @@ func (n *Node) runElection() {
 		n.logf("replica %d: lost election for term %d (%d/%d votes)", n.cfg.ID, term, votes, q)
 		return
 	}
-	n.role = RoleLeader
+	n.role, n.installed = RoleLeader, false
 	n.leaderID, n.leaderAddr = n.cfg.ID, n.selfAddr
 	// The vote quorum backs the first lease interval.
 	n.leaseUntil = start.Add(n.lease)
-	n.commit = 0
 	n.repl = make([]*replicator, 0, len(n.peers))
 	for _, p := range n.peers {
 		n.repl = append(n.repl, &replicator{
 			p:    p,
 			term: term,
-			next: uint64(len(n.log)),
+			next: n.lastIndex(),
 			wake: make(chan struct{}, 1),
 		})
 	}
 	repl := n.repl
 	n.wg.Add(len(repl))
-	st := n.shadow.snapshot(term)
+	st := n.liveShadowLocked().snapshot(term)
 	n.transitions = append(n.transitions, Transition{Term: term, Leader: n.cfg.ID})
 	srv := n.srv
 	n.mu.Unlock()
@@ -528,6 +614,9 @@ func (n *Node) runElection() {
 	if srv != nil {
 		srv.InstallReplicaState(st)
 	}
+	n.mu.Lock()
+	n.installed = n.role == RoleLeader && n.term == term
+	n.mu.Unlock()
 	// A replicator's first send is an immediate heartbeat, so learners
 	// learn the new leader's address before clients get redirected.
 	for _, r := range repl {
@@ -578,7 +667,7 @@ func (n *Node) endTermLocked() {
 type replicator struct {
 	p        *peerConn
 	term     uint64
-	next     uint64    // first index not yet sent
+	next     uint64    // log length the peer is taken to hold: the next send starts after it
 	match    uint64    // log prefix the peer has acknowledged
 	lastSend time.Time // send time of the latest append
 	ackSent  time.Time // send time of the latest acked append
@@ -599,8 +688,9 @@ func (r *replicator) poke() {
 // answer, so appends made while one is in flight go out together in the
 // next. With nothing to ship it sleeps until a Propose pokes it or the
 // peer has gone lease/4 without a send, when it sends an empty
-// heartbeat. A failed send is retried after lease/16. Close ends it
-// once its append in flight, if any, returns.
+// heartbeat. A peer whose next entry has been compacted away is sent
+// the snapshot base instead. A failed send is retried after lease/16.
+// Close ends it once its send in flight, if any, returns.
 func (n *Node) replicate(r *replicator) {
 	defer n.wg.Done()
 	heartbeat := n.lease / 4
@@ -619,13 +709,13 @@ func (n *Node) replicate(r *replicator) {
 			return
 		}
 		now := time.Now()
-		logLen := uint64(len(n.log))
-		ni := min(r.next, logLen)
+		last := n.lastIndex()
+		ni := min(r.next, last)
 		var wait time.Duration
 		switch {
 		case now.Before(retryAt):
 			wait = retryAt.Sub(now)
-		case ni == logLen:
+		case ni == last:
 			wait = heartbeat - now.Sub(r.lastSend)
 		}
 		if wait > 0 {
@@ -644,27 +734,44 @@ func (n *Node) replicate(r *replicator) {
 			}
 			continue
 		}
-		var prevTerm uint64
-		if ni > 0 {
-			prevTerm = n.log[ni-1].Term
-		}
-		// Copy the entries out: a later term may truncate the log under
-		// a slice of it while this append is on the wire.
-		batch = append(batch[:0], n.log[ni:logLen]...)
-		r.next, r.lastSend = logLen, now
-		n.mu.Unlock()
-
+		var (
+			resp  lockd.Response
+			err   error
+			acked uint64 // the prefix the peer holds if it answers OK
+		)
+		snap := ni < n.snapIndex
 		sentNs := n.cfg.Clock.PhysNow()
-		resp, err := r.p.call(lockd.Request{
-			Op:         lockd.OpReplAppend,
-			Term:       r.term,
-			From:       n.cfg.ID,
-			LeaderAddr: n.selfAddr,
-			PrevIndex:  ni,
-			PrevTerm:   prevTerm,
-			Entries:    batch,
-			HLC:        uint64(n.cfg.Clock.Now()),
-		}, n.lease/3)
+		if snap {
+			acked = n.baseIndex
+			term, muts := n.termAt(acked), n.base.render()
+			r.next, r.lastSend = acked, now
+			n.mu.Unlock()
+			resp, err = n.sendSnapshot(r, acked, term, muts)
+		} else {
+			prevTerm := n.termAt(ni)
+			// Copy the entries out: a later term may truncate the log, and
+			// compaction moves it, under a slice of it while this append
+			// is on the wire.
+			batch = batch[:0]
+			for _, e := range n.log[ni-n.snapIndex:] {
+				batch = append(batch, e.ReplEntry)
+			}
+			acked = last
+			r.next, r.lastSend = last, now
+			commit := n.commit
+			n.mu.Unlock()
+			resp, err = r.p.call(lockd.Request{
+				Op:         lockd.OpReplAppend,
+				Term:       r.term,
+				From:       n.cfg.ID,
+				LeaderAddr: n.selfAddr,
+				PrevIndex:  ni,
+				PrevTerm:   prevTerm,
+				Entries:    batch,
+				Commit:     commit,
+				HLC:        uint64(n.cfg.Clock.Now()),
+			}, n.lease/3)
+		}
 		if err == nil {
 			n.cfg.Clock.Update(hlc.Time(resp.HLC))
 			if resp.WallNs != 0 {
@@ -682,7 +789,7 @@ func (n *Node) replicate(r *replicator) {
 			r.next = ni
 			retryAt = time.Now().Add(retry)
 		case resp.OK:
-			r.match = max(r.match, ni+uint64(len(batch)))
+			r.match = max(r.match, acked)
 			if now.After(r.ackSent) {
 				r.ackSent = now
 			}
@@ -699,6 +806,10 @@ func (n *Node) replicate(r *replicator) {
 				srv.FenceSessions(reason)
 			}
 			return
+		case snap:
+			// The peer dropped a piece: send the snapshot again.
+			r.next = ni
+			retryAt = time.Now().Add(retry)
 		default:
 			// Consistency reject: NextIndex is the peer's resend cursor.
 			r.next = resp.NextIndex
@@ -707,13 +818,43 @@ func (n *Node) replicate(r *replicator) {
 	}
 }
 
+// sendSnapshot ships the state at log index idx, of term term, rendered
+// as muts, in pieces of at most snapshotPiece mutations. It returns the
+// answer to the last piece, or to the first that failed.
+func (n *Node) sendSnapshot(r *replicator, idx, term uint64, muts []lockd.Mutation) (lockd.Response, error) {
+	atNs := n.cfg.Clock.PhysNow()
+	for off := 0; ; off += snapshotPiece {
+		end := min(off+snapshotPiece, len(muts))
+		ents := make([]lockd.ReplEntry, 0, end-off)
+		for _, m := range muts[off:end] {
+			ents = append(ents, lockd.ReplEntry{Term: term, Frames: encodeMutation(m, atNs)})
+		}
+		resp, err := r.p.call(lockd.Request{
+			Op:         lockd.OpReplSnapshot,
+			Term:       r.term,
+			From:       n.cfg.ID,
+			LeaderAddr: n.selfAddr,
+			PrevIndex:  idx,
+			PrevTerm:   term,
+			Entries:    ents,
+			Offset:     uint64(off),
+			Done:       end == len(muts),
+			HLC:        uint64(n.cfg.Clock.Now()),
+		}, n.lease/3)
+		if err != nil || !resp.OK || end == len(muts) {
+			return resp, err
+		}
+	}
+}
+
 // advanceLocked recomputes the leader's commit index (the quorum-th
-// highest match, self counting its whole log) and lease (one interval
-// from the send time of the quorum-th freshest acked append, self
-// counting as now), then wakes waiting Proposes.
+// highest match, self counting its whole log, over an entry of this
+// term) and lease (one interval from the send time of the quorum-th
+// freshest acked append, self counting as now), folds into the base
+// what every peer holds, and wakes waiting Proposes.
 func (n *Node) advanceLocked(now time.Time) {
 	q := n.quorumLocked()
-	n.matchBuf = append(n.matchBuf[:0], uint64(len(n.log)))
+	n.matchBuf = append(n.matchBuf[:0], n.lastIndex())
 	n.ackBuf = n.ackBuf[:0]
 	for _, r := range n.repl {
 		n.matchBuf = append(n.matchBuf, r.match)
@@ -721,7 +862,11 @@ func (n *Node) advanceLocked(now time.Time) {
 	}
 	if len(n.matchBuf) >= q {
 		slices.Sort(n.matchBuf)
-		n.commit = max(n.commit, n.matchBuf[len(n.matchBuf)-q])
+		// Raft's commit rule: an older term's entry is committed only by
+		// an entry of this term after it, never by counting its copies.
+		if c := n.matchBuf[len(n.matchBuf)-q]; c > n.commit && n.termAt(c) == n.term {
+			n.commit = c
+		}
 	}
 	renewed := now
 	if q > 1 {
@@ -736,6 +881,15 @@ func (n *Node) advanceLocked(now time.Time) {
 			n.leaseUntil = u
 		}
 	}
+	// Fold only what every peer holds, so none needs a snapshot — until
+	// the retained log passes its cap: then fold to commit regardless.
+	to := n.commit
+	if n.lastIndex()-n.snapIndex <= uint64(compactCapChunks*compactChunk) {
+		for _, r := range n.repl {
+			to = min(to, r.match)
+		}
+	}
+	n.compactLocked(to)
 	n.committed.Broadcast()
 }
 
@@ -744,8 +898,8 @@ func (n *Node) HandleRepl(req lockd.Request) lockd.Response {
 	switch req.Op {
 	case lockd.OpReplVote:
 		return n.handleVote(req)
-	case lockd.OpReplAppend:
-		return n.handleAppend(req)
+	case lockd.OpReplAppend, lockd.OpReplSnapshot:
+		return n.follow(req)
 	}
 	return lockd.Response{ID: req.ID, Code: lockd.CodeBadRequest, Err: "replica: unknown op " + req.Op}
 }
@@ -768,11 +922,8 @@ func (n *Node) handleVote(req lockd.Request) lockd.Response {
 		n.role = RoleLearner
 	}
 	resp.Term = n.term
-	myLen := uint64(len(n.log))
-	var myLast uint64
-	if myLen > 0 {
-		myLast = n.log[myLen-1].Term
-	}
+	myLen := n.lastIndex()
+	myLast := n.termAt(myLen)
 	upToDate := req.LastTerm > myLast || (req.LastTerm == myLast && req.LogLen >= myLen)
 	if n.votedTerm < req.Term && upToDate {
 		n.votedTerm, n.votedFor = req.Term, req.From
@@ -796,11 +947,10 @@ func (n *Node) handleVote(req lockd.Request) lockd.Response {
 	return resp
 }
 
-// handleAppend follows the leader: adopt its term, check (PrevIndex,
-// PrevTerm) consistency, cut any conflicting suffix (rebuilding the
-// shadow by replay), append and apply what is genuinely new, and echo
-// applied entries into the local journal.
-func (n *Node) handleAppend(req lockd.Request) lockd.Response {
+// follow answers the leader's appends and snapshot pieces: adopt its
+// term and leadership, apply the request (appendLocked or
+// snapshotLocked), and demote this node if it was leading.
+func (n *Node) follow(req lockd.Request) lockd.Response {
 	n.cfg.Clock.Update(hlc.Time(req.HLC))
 	n.mu.Lock()
 	resp := lockd.Response{ID: req.ID}
@@ -819,43 +969,10 @@ func (n *Node) handleAppend(req lockd.Request) lockd.Response {
 	if len(n.transitions) == 0 || n.transitions[len(n.transitions)-1] != tr {
 		n.transitions = append(n.transitions, tr)
 	}
-	logLen := uint64(len(n.log))
-	switch {
-	case req.PrevIndex > logLen:
-		// We are missing entries before this batch: back the leader up.
-		resp.NextIndex = logLen
-	case req.PrevIndex > 0 && n.log[req.PrevIndex-1].Term != req.PrevTerm:
-		// The entry before the batch disagrees: back up past it.
-		resp.NextIndex = req.PrevIndex - 1
-	default:
-		idx := req.PrevIndex
-		ents := req.Entries
-		// Skip what we already hold (same index, same term): re-sent
-		// batches after a lost ack must not re-apply.
-		for len(ents) > 0 && idx < uint64(len(n.log)) && n.log[idx].Term == ents[0].Term {
-			idx++
-			ents = ents[1:]
-		}
-		if len(ents) > 0 {
-			if idx < uint64(len(n.log)) {
-				// Conflicting suffix from a deposed leader: cut it and
-				// rebuild the shadow from the log that remains.
-				n.log = n.log[:idx]
-				n.shadow = replayShadow(n.log)
-			}
-			for _, e := range ents {
-				n.log = append(n.log, e)
-				m, err := decodeMutation(e.Frames)
-				if err != nil {
-					n.logf("replica %d: undecodable log entry %d: %v", n.cfg.ID, len(n.log)-1, err)
-					continue
-				}
-				n.shadow.apply(m)
-				n.journalApply(m)
-			}
-		}
-		resp.OK = true
-		resp.NextIndex = uint64(len(n.log))
+	if req.Op == lockd.OpReplSnapshot {
+		n.snapshotLocked(req, &resp)
+	} else {
+		n.appendLocked(req, &resp)
 	}
 	if wasLeader {
 		n.endTermLocked()
@@ -869,6 +986,121 @@ func (n *Node) handleAppend(req lockd.Request) lockd.Response {
 		}
 	}
 	return resp
+}
+
+// appendLocked checks (PrevIndex, PrevTerm) consistency, cuts any
+// conflicting suffix, appends what is genuinely new, echoes it into the
+// local journal, and folds what the leader's commit index covers.
+func (n *Node) appendLocked(req lockd.Request, resp *lockd.Response) {
+	last := n.lastIndex()
+	switch {
+	case req.PrevIndex > last:
+		// We are missing entries before this batch: back the leader up.
+		resp.NextIndex = last
+		return
+	case req.PrevIndex >= n.snapIndex && n.termAt(req.PrevIndex) != req.PrevTerm:
+		// The entry before the batch disagrees: back up past it.
+		resp.NextIndex = req.PrevIndex - 1
+		return
+	}
+	idx, ents := req.PrevIndex, req.Entries
+	if idx < n.snapIndex {
+		// Entries through snapIndex are committed, so they match the
+		// leader's: skip those already compacted away.
+		k := min(n.snapIndex-idx, uint64(len(ents)))
+		idx, ents = idx+k, ents[k:]
+	}
+	// Skip what we already hold (same index, same term): re-sent
+	// batches after a lost ack must not re-apply.
+	for len(ents) > 0 && idx < last && n.termAt(idx+1) == ents[0].Term {
+		idx++
+		ents = ents[1:]
+	}
+	if len(ents) > 0 && idx < last {
+		if idx < n.baseIndex {
+			// A leader never disagrees with a committed entry; refuse
+			// rather than unwind the base.
+			n.logf("replica %d: append conflicts at committed index %d", n.cfg.ID, idx+1)
+			resp.NextIndex = last
+			return
+		}
+		// Conflicting suffix from a deposed leader: cut it.
+		k := idx - n.snapIndex
+		clear(n.log[k:])
+		n.log = n.log[:k]
+	}
+	for _, e := range ents {
+		m, err := decodeMutation(e.Frames)
+		n.log = append(n.log, logEntry{ReplEntry: e, m: m})
+		if err != nil {
+			n.logf("replica %d: undecodable log entry %d: %v", n.cfg.ID, n.lastIndex(), err)
+			continue
+		}
+		n.journalApply(m)
+	}
+	resp.OK = true
+	resp.NextIndex = n.lastIndex()
+	// The log now matches the leader's through the end of the batch, so
+	// the leader's commit index holds for it that far.
+	n.commit = max(n.commit, min(req.Commit, req.PrevIndex+uint64(len(req.Entries))))
+	n.compactLocked(n.commit)
+}
+
+// snapRecv is a snapshot arriving in pieces: the log position it
+// stands for, the mutations applied so far, and the state they built.
+type snapRecv struct {
+	index, term, n uint64
+	sh             *shadow
+}
+
+// snapshotLocked applies one piece of the leader's snapshot; the last
+// piece installs it. A piece out of order drops what was collected, and
+// the leader starts over.
+func (n *Node) snapshotLocked(req lockd.Request, resp *lockd.Response) {
+	defer func() { resp.NextIndex = n.lastIndex() }()
+	if req.Offset == 0 {
+		n.recv = &snapRecv{index: req.PrevIndex, term: req.PrevTerm, sh: newShadow()}
+	}
+	rc := n.recv
+	if rc == nil || rc.index != req.PrevIndex || rc.term != req.PrevTerm || rc.n != req.Offset {
+		n.recv = nil
+		return
+	}
+	for _, e := range req.Entries {
+		m, err := decodeMutation(e.Frames)
+		if err != nil {
+			n.logf("replica %d: undecodable snapshot entry %d: %v", n.cfg.ID, rc.n, err)
+			n.recv = nil
+			return
+		}
+		rc.sh.apply(m)
+		rc.n++
+	}
+	resp.OK = true
+	if req.Done {
+		n.recv = nil
+		n.installLocked(rc.index, rc.term, rc.sh)
+	}
+}
+
+// installLocked makes sh, the leader's state at log index idx of term
+// term, this node's base. Retained entries after idx survive if entry
+// idx has that term; otherwise the whole log goes. Nothing reaches the
+// journal: the snapshot's synthetic mutations are state, not history.
+func (n *Node) installLocked(idx, term uint64, sh *shadow) {
+	if idx <= n.baseIndex {
+		return // folded already
+	}
+	keep := 0
+	if idx <= n.lastIndex() && n.termAt(idx) == term {
+		keep = copy(n.log, n.log[idx-n.snapIndex:])
+	}
+	clear(n.log[keep:])
+	n.log = n.log[:keep]
+	n.snapIndex, n.snapTerm = idx, term
+	n.base, n.baseIndex = sh, idx
+	n.commit = max(n.commit, idx)
+	n.installs++
 }
 
 // journalApply echoes an applied log entry into this node's journal,
@@ -940,12 +1172,12 @@ func (n *Node) SkewNs() map[int]int64 {
 func (n *Node) telemetrySnapshot() telemetry.LockSnapshot {
 	n.mu.Lock()
 	role, term := n.role, n.term
-	logLen := uint64(len(n.log))
+	logLen, retained, snapIndex := n.lastIndex(), len(n.log), n.snapIndex
 	var lag uint64
 	for _, r := range n.repl {
 		lag = max(lag, logLen-r.match)
 	}
-	elections, stepdowns := n.elections, n.stepdowns
+	elections, stepdowns, installs := n.elections, n.stepdowns, n.installs
 	n.mu.Unlock()
 	skew := n.SkewNs()
 	peers := make([]int, 0, len(skew))
@@ -961,14 +1193,20 @@ func (n *Node) telemetrySnapshot() telemetry.LockSnapshot {
 				Gauge: true, Value: int64(role)},
 			{Name: "lockd_replica_term", Help: "Current replication term.",
 				Gauge: true, Value: int64(term)},
-			{Name: "lockd_replica_log_len", Help: "Replication log length in entries.",
+			{Name: "lockd_replica_log_len", Help: "Replication log length in entries, compacted ones included (the newest entry's index).",
 				Gauge: true, Value: int64(logLen)},
+			{Name: "lockd_replica_log_retained", Help: "Replication log entries held in memory (not yet compacted into the snapshot base).",
+				Gauge: true, Value: int64(retained)},
+			{Name: "lockd_replica_snapshot_index", Help: "Index of the last log entry compacted into the snapshot base.",
+				Gauge: true, Value: int64(snapIndex)},
 			{Name: "lockd_replica_log_lag", Help: "Worst peer replication lag in entries not yet acknowledged (leader only).",
 				Gauge: true, Value: int64(lag)},
 			{Name: "lockd_replica_elections_total", Help: "Elections this node has started.",
 				Value: elections},
 			{Name: "lockd_replica_stepdowns_total", Help: "Times this node lost or gave up leadership.",
 				Value: stepdowns},
+			{Name: "lockd_replica_snapshot_installs_total", Help: "Leader snapshots this node installed after falling behind the leader's compacted log.",
+				Value: installs},
 		},
 	}
 	for _, id := range peers {

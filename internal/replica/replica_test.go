@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -180,9 +181,10 @@ func TestProposeShipsToLearners(t *testing.T) {
 	}
 	for i, n := range c.nodes {
 		n.mu.Lock()
-		lk := n.shadow.locks["shared"]
-		sess := n.shadow.sessions[9]
+		sh := n.liveShadowLocked()
 		n.mu.Unlock()
+		lk := sh.locks["shared"]
+		sess := sh.sessions[9]
 		if lk == nil || lk.fence != 4 || lk.holderSession != 9 {
 			t.Fatalf("node %d shadow lock = %+v, want fence 4 held by session 9", i+1, lk)
 		}
@@ -218,7 +220,7 @@ func TestLeaderKillPromotesLearnerWithState(t *testing.T) {
 	// The promoted learner must carry the replicated grant: token floor
 	// >= anything ever granted.
 	next.mu.Lock()
-	lk := next.shadow.locks["ha"]
+	lk := next.liveShadowLocked().locks["ha"]
 	next.mu.Unlock()
 	if lk == nil || lk.fence < 17 {
 		t.Fatalf("promoted learner shadow lock = %+v, want fence >= 17", lk)
@@ -284,24 +286,33 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 }
 
 func TestShadowReplayRebuildsAfterTruncation(t *testing.T) {
-	mk := func(m lockd.Mutation, term uint64) lockd.ReplEntry {
-		return lockd.ReplEntry{Term: term, Frames: encodeMutation(m, 1)}
+	mk := func(m lockd.Mutation, term uint64) logEntry {
+		return logEntry{ReplEntry: lockd.ReplEntry{Term: term, Frames: encodeMutation(m, 1)}, m: m}
 	}
-	log := []lockd.ReplEntry{
+	log := []logEntry{
 		mk(lockd.Mutation{Kind: journal.KindSessionOpen, Agent: "a", Session: 1, DurNs: 10}, 1),
 		mk(lockd.Mutation{Kind: journal.KindAcquire, Lock: "x", Agent: "a", Session: 1, Token: 1}, 1),
 		mk(lockd.Mutation{Kind: journal.KindRelease, Lock: "x", Agent: "a", Session: 1, Token: 1}, 1),
 		mk(lockd.Mutation{Kind: journal.KindAcquire, Lock: "x", Agent: "a", Session: 1, Token: 2}, 2),
 	}
-	sh := replayShadow(log)
+	sh := replayShadow(newShadow(), log)
 	if lk := sh.locks["x"]; lk.fence != 2 || lk.holderToken != 2 {
 		t.Fatalf("full replay: %+v, want fence 2 held", lk)
 	}
 	// Cut the uncommitted suffix (term-2 grant) and replay: the hold is
 	// gone, the floor drops back to what term 1 established.
-	sh = replayShadow(log[:3])
+	sh = replayShadow(newShadow(), log[:3])
 	if lk := sh.locks["x"]; lk.fence != 1 || lk.holderToken != 0 {
 		t.Fatalf("truncated replay: %+v, want fence 1 free", lk)
+	}
+	// From a base holding the first two entries, replaying the third
+	// rebuilds the same state, and leaves the base untouched.
+	base := replayShadow(newShadow(), log[:2])
+	if got, want := replayShadow(base, log[2:3]).snapshot(0), sh.snapshot(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay from base: %+v, want %+v", got, want)
+	}
+	if lk := base.locks["x"]; lk.holderToken != 1 {
+		t.Fatalf("replay changed its base: %+v", lk)
 	}
 }
 

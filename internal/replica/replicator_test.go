@@ -136,7 +136,8 @@ func (c *linkConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// holdsToken reports whether n's log carries an entry with token tok.
+// holdsToken reports whether n holds grant(tok): as a log entry, or
+// folded into its snapshot base.
 func (n *Node) holdsToken(tok uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -145,7 +146,8 @@ func (n *Node) holdsToken(tok uint64) bool {
 			return true
 		}
 	}
-	return false
+	lk := n.base.locks[grant(tok).Lock]
+	return lk != nil && lk.fence >= tok
 }
 
 // logLag reads the lockd_replica_log_lag gauge off n's telemetry pull.

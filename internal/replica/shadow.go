@@ -10,11 +10,15 @@ import (
 	"repro/internal/lockd"
 )
 
-// The shadow is a learner's replayed view of the leader's replicated
+// The shadow is a replica's replayed view of the leader's replicated
 // state: live sessions, per-lock token floors and holders, and the last
 // applied lock configuration. It is pure data — applying the same log
-// always rebuilds the same shadow — and at promotion it becomes the new
-// leader's serving state via lockd.ReplState.
+// always rebuilds the same shadow. Each node keeps one as its snapshot
+// base, and at promotion the base plus the log after it becomes the new
+// leader's serving state via lockd.ReplState. A live session holds a
+// lock with a token exactly when the lock's holder is that session
+// with that token, which is what lets render rebuild the held sets from
+// the holders.
 
 // encodeMutation renders a mutation as one replication-log payload: a
 // self-contained run of journal record frames stamped at atNs. The
@@ -123,6 +127,8 @@ func (sh *shadow) apply(m lockd.Mutation) {
 		if lk.fence < m.Token {
 			lk.fence = m.Token
 		}
+		// A grant supersedes any tenure whose end the log has not shown.
+		sh.endTenure(m.Lock, lk)
 		lk.holderSession, lk.holderToken, lk.holder = m.Session, m.Token, m.Agent
 		if s := sh.sessions[m.Session]; s != nil {
 			s.held[m.Lock] = m.Token
@@ -134,11 +140,10 @@ func (sh *shadow) apply(m lockd.Mutation) {
 			// this way to neutralize grants that missed quorum.
 			lk.fence = m.Token
 		}
+		// Only the tenure the token names ends: a stale duplicate
+		// release leaves a later grant to the same session in place.
 		if m.Token != 0 && lk.holderToken == m.Token {
-			lk.holderSession, lk.holderToken, lk.holder = 0, 0, ""
-		}
-		if s := sh.sessions[m.Session]; s != nil {
-			delete(s.held, m.Lock)
+			sh.endTenure(m.Lock, lk)
 		}
 	case journal.KindReconfig:
 		lk := sh.lock(m.Lock)
@@ -149,6 +154,15 @@ func (sh *shadow) apply(m lockd.Mutation) {
 			lk.sched = m.Sched
 		}
 	}
+}
+
+// endTenure frees the lock: its holder session, if live, no longer
+// holds it.
+func (sh *shadow) endTenure(name string, lk *shadowLock) {
+	if s := sh.sessions[lk.holderSession]; s != nil && s.held[name] == lk.holderToken {
+		delete(s.held, name)
+	}
+	lk.holderSession, lk.holderToken, lk.holder = 0, 0, ""
 }
 
 // snapshot renders the shadow as the install-ready state for term.
@@ -189,14 +203,48 @@ func (sh *shadow) snapshot(term uint64) lockd.ReplState {
 	return st
 }
 
-// replayShadow rebuilds a shadow from scratch — the recovery path after
-// a log truncation (a deposed leader's uncommitted suffix was cut).
-func replayShadow(log []lockd.ReplEntry) *shadow {
-	sh := newShadow()
-	for _, e := range log {
-		if m, err := decodeMutation(e.Frames); err == nil {
-			sh.apply(m)
+// render returns mutations that rebuild sh when applied in order to an
+// empty shadow: the snapshot a learner installs, in the log's own
+// vocabulary. Each live session gets a session-open (and a last session
+// id no longer live an open and an end); each lock gets a release
+// carrying its token floor, its holder's acquire, which also restores
+// the holder session's held set, and a reconfig for its policy and
+// scheduler.
+func (sh *shadow) render() []lockd.Mutation {
+	st := sh.snapshot(0)
+	out := make([]lockd.Mutation, 0, len(st.Sessions)+2*len(st.Locks)+2)
+	lastLive := false
+	for _, s := range st.Sessions {
+		out = append(out, lockd.Mutation{Kind: journal.KindSessionOpen, Session: s.ID, Agent: s.Client, DurNs: int64(s.Lease)})
+		lastLive = lastLive || s.ID == st.LastSession
+	}
+	if st.LastSession != 0 && !lastLive {
+		out = append(out,
+			lockd.Mutation{Kind: journal.KindSessionOpen, Session: st.LastSession},
+			lockd.Mutation{Kind: journal.KindSessionEnd, Session: st.LastSession})
+	}
+	for _, lk := range st.Locks {
+		out = append(out, lockd.Mutation{Kind: journal.KindRelease, Lock: lk.Name, Token: lk.Fence})
+		if lk.HolderSession != 0 || lk.HolderToken != 0 || lk.Holder != "" {
+			out = append(out, lockd.Mutation{Kind: journal.KindAcquire, Lock: lk.Name,
+				Agent: lk.Holder, Session: lk.HolderSession, Token: lk.HolderToken})
 		}
+		if lk.Policy != "" || lk.Sched != "" {
+			out = append(out, lockd.Mutation{Kind: journal.KindReconfig, Lock: lk.Name, Policy: lk.Policy, Sched: lk.Sched})
+		}
+	}
+	return out
+}
+
+// replayShadow builds a new shadow: a copy of base plus the log entries
+// after it.
+func replayShadow(base *shadow, tail []logEntry) *shadow {
+	sh := newShadow()
+	for _, m := range base.render() {
+		sh.apply(m)
+	}
+	for _, e := range tail {
+		sh.apply(e.m)
 	}
 	return sh
 }
