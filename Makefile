@@ -66,10 +66,14 @@ serve-smoke:
 	$(GO) run ./cmd/lockstat -n 2 -iters 2 -serve 127.0.0.1:0 -serve-for 1s
 
 # Network lock service smoke: server + two clients with an injected
-# conn-drop schedule, plus the deterministic crash/shed/partition chaos
-# sequence — all under the race detector.
+# conn-drop schedule, the deterministic crash/shed/partition chaos
+# sequence, and the binary peer frames: client JSON lines and a peer
+# frame served in order on one connection, a bad peer frame ending only
+# its own connection, decoding into a reused request without
+# allocating, and lockd.Request held to its size class — all under the
+# race detector.
 lockd-smoke:
-	$(GO) test ./internal/lockd -race -count=1 -v -run 'TestLockdSmoke|TestChaosRecovery|TestChaosDeterministic'
+	$(GO) test ./internal/lockd -race -count=1 -v -run 'TestLockdSmoke|TestChaosRecovery|TestChaosDeterministic|TestServeConnPeerFrames|TestParsePeerRequestReusesStorage|TestRequestFitsSizeClass'
 
 # Causal-tracing smoke: induce a real ABBA deadlock between two lockd
 # clients under the race detector and require /debug/waitgraph to name
@@ -92,8 +96,9 @@ journal-smoke:
 # proven by journal.Verify over the merged per-node journals,
 # deterministic same-seed election traces, plus the client-side
 # failover path — and the leader's per-peer replicators: Proposes
-# outrun a delayed learner, group commit, heartbeat-only idling, and
-# log lag read from the match indexes; and the bounded log: every node's
+# outrun a delayed learner, group commit, heartbeat-only idling, log
+# lag read from the match indexes, and a lagging learner caught up in
+# bounded appends; and the bounded log: every node's
 # retained log stays within the compaction cap, and a learner isolated
 # past the cap catches up by snapshot, then takes over with tokens still
 # climbing (the package's tests run with the compaction chunk lowered to
@@ -101,7 +106,7 @@ journal-smoke:
 # HA_SMOKE_DIR keeps the per-node journal segments on failure so CI can
 # upload them as an artifact.
 ha-smoke:
-	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosKillLearnerMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace|TestProposeOutrunsSlowLearner|TestProposesGroupCommit|TestIdleLeaderOnlyHeartbeats|TestLogLagFromMatch|TestCompactionBoundsLog|TestIsolatedLearnerCatchesUpBySnapshot|TestSnapshotRenderRoundTrip'
+	HA_SMOKE_DIR=$(HA_SMOKE_DIR) $(GO) test ./internal/replica -race -count=1 -v -run 'TestChaosKillLeaderMidHold|TestChaosKillLearnerMidHold|TestChaosPartitionLeaderSplitBrain|TestChaosSameSeedSameTrace|TestProposeOutrunsSlowLearner|TestProposesGroupCommit|TestIdleLeaderOnlyHeartbeats|TestLogLagFromMatch|TestAppendsBoundedWhileCatchingUp|TestCompactionBoundsLog|TestIsolatedLearnerCatchesUpBySnapshot|TestSnapshotRenderRoundTrip'
 	$(GO) test ./internal/lockclient -race -count=1 -v -run 'TestClusterFailoverOnLeaderKill|TestFailoverResetsBackoff'
 
 # Cluster-timeline smoke: a two-node replicated cluster with wall
@@ -136,15 +141,19 @@ chaos:
 	cmp "$$d/run1.json" "$$d/run2.json" && echo "chaos: two same-seed runs wrote identical reports"
 
 # Short fuzz smoke of every fuzzer: the Params pack/unpack codec, the
-# metrics exposition parser, the lockd wire decoders held to
-# encoding/json, and the replication log's mutation decoder (raise
-# -fuzztime for a real fuzzing session). go test fuzzes one target per
-# run, hence one line each.
+# metrics exposition parser, the lockd JSON wire decoders held to
+# encoding/json, the binary peer frame decoder (round trips, truncated
+# frames rejected), the journal segment reader on arbitrary segment
+# bytes, and the replication log's mutation decoder (raise -fuzztime
+# for a real fuzzing session). go test fuzzes one target per run, hence
+# one line each.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzParamsPackRoundtrip$$' -fuzztime 5s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 5s
 	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s
 	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s
+	$(GO) test ./internal/lockd -run '^$$' -fuzz '^FuzzParsePeerRequest$$' -fuzztime 5s
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadSegment$$' -fuzztime 5s
 	$(GO) test ./internal/replica -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 5s
 
 clean:

@@ -273,13 +273,14 @@ func clipName(s string) string {
 	return s
 }
 
-// EncodeRecordFrames renders one record as a self-contained run of
-// frames — name frames for the lock and agent (when non-empty)
+// AppendRecordFrames appends one record to dst as a self-contained run
+// of frames — name frames for the lock and agent (when non-empty)
 // followed by the event frame — using fixed intern ids, so the bytes
-// can travel outside any particular journal's name table. This is the
-// on-wire format of the lockd replication log: each log entry is one
-// such run, decodable on any replica with DecodeRecordFrames.
-func EncodeRecordFrames(r Record, lockName, agentName string) []byte {
+// can travel outside any particular journal's name table, and returns
+// the extended buffer. This is the on-wire format of the lockd
+// replication log: each log entry travels as one such run, decodable on
+// any replica with DecodeRecordFrames.
+func AppendRecordFrames(dst []byte, r Record, lockName, agentName string) []byte {
 	n := 1
 	if lockName != "" {
 		n++
@@ -287,27 +288,27 @@ func EncodeRecordFrames(r Record, lockName, agentName string) []byte {
 	if agentName != "" {
 		n++
 	}
-	out := make([]byte, n*FrameSize)
-	off := 0
+	off := len(dst)
+	dst = append(dst, make([]byte, n*FrameSize)...)
 	if lockName != "" {
 		r.Lock = 1
-		encodeName(out[off:off+FrameSize], frameLockName, 1, clipName(lockName))
+		encodeName(dst[off:off+FrameSize], frameLockName, 1, clipName(lockName))
 		off += FrameSize
 	} else {
 		r.Lock = 0
 	}
 	if agentName != "" {
 		r.Agent = 2
-		encodeName(out[off:off+FrameSize], frameAgentName, 2, clipName(agentName))
+		encodeName(dst[off:off+FrameSize], frameAgentName, 2, clipName(agentName))
 		off += FrameSize
 	} else {
 		r.Agent = 0
 	}
-	encodeEvent(out[off:off+FrameSize], &r)
-	return out
+	encodeEvent(dst[off:off+FrameSize], &r)
+	return dst
 }
 
-// DecodeRecordFrames inverts EncodeRecordFrames: it walks the frame
+// DecodeRecordFrames inverts AppendRecordFrames: it walks the frame
 // run, rejects any CRC damage, and returns the decoded event with its
 // names resolved. Exactly one event frame must be present.
 func DecodeRecordFrames(data []byte) (Entry, error) {

@@ -11,7 +11,7 @@ func TestRecordFramesRoundTrip(t *testing.T) {
 		Kind: KindAcquire, Origin: OriginLockd,
 		AtNs: 123456, Seq: 7, DurNs: 42, Token: 9, Tag: 3, Trace: 11,
 	}
-	data := EncodeRecordFrames(rec, "orders", "client-2")
+	data := AppendRecordFrames(nil, rec, "orders", "client-2")
 	if len(data) != 3*FrameSize {
 		t.Fatalf("frame run length = %d, want %d", len(data), 3*FrameSize)
 	}
@@ -25,9 +25,13 @@ func TestRecordFramesRoundTrip(t *testing.T) {
 	if e.Kind != KindAcquire || e.Origin != OriginLockd || e.Token != 9 || e.Tag != 3 || e.AtNs != 123456 {
 		t.Fatalf("record fields lost: %+v", e.Record)
 	}
+	// Appending leaves what the buffer held in place.
+	if got := AppendRecordFrames([]byte("head"), rec, "orders", "client-2"); string(got[:4]) != "head" || string(got[4:]) != string(data) {
+		t.Fatal("appending after a prefix changed the prefix or the frames")
+	}
 
 	// No agent: two frames only.
-	data = EncodeRecordFrames(Record{Kind: KindSessionEnd, Tag: 5}, "orders", "")
+	data = AppendRecordFrames(nil, Record{Kind: KindSessionEnd, Tag: 5}, "orders", "")
 	if len(data) != 2*FrameSize {
 		t.Fatalf("agentless run length = %d, want %d", len(data), 2*FrameSize)
 	}

@@ -31,17 +31,19 @@ var requestSeeds = []string{
 	`{"id":10,"op":"stat","session":3}`,
 	`{"id":11,"op":"reconfigure","session":3,"lock":"hot-1","policy":"spin","sched":"priority"}`,
 	`{"id":12,"op":"acquire","session":3,"lock":"q","wait_ms":250,"wait_hint":"try","prio":-4,"attempt":3}`,
-	`{"id":40,"op":"repl-append","hlc":115224746733544000,"term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":40,"prev_term":2,"entries":[{"term":2,"frames":"AQIDBAUGBwg="},{"term":2,"frames":""}]}`,
-	`{"id":41,"op":"repl-append","term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":42,"prev_term":2}`,
-	`{"id":42,"op":"repl-vote","term":3,"from":1,"log_len":42,"last_term":2}`,
-	`{"id":43,"op":"repl-append","hlc":115224746733544100,"term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":42,"prev_term":2,"entries":[{"term":2,"frames":"AQIDBAUGBwg="}],"commit":42}`,
-	`{"id":44,"op":"repl-append","term":2,"from":3,"leader_addr":"127.0.0.1:7703","prev_index":43,"prev_term":2,"commit":43}`,
-	`{"id":45,"op":"repl-snapshot","hlc":115224746733544200,"term":3,"from":1,"leader_addr":"127.0.0.1:7701","prev_index":4096,"prev_term":3,"entries":[{"term":3,"frames":"AQIDBAUGBwg="},{"term":3,"frames":"CQoLDA=="}]}`,
-	`{"id":46,"op":"repl-snapshot","term":3,"from":1,"leader_addr":"127.0.0.1:7701","prev_index":4096,"prev_term":3,"entries":[{"term":3,"frames":"AQIDBAUGBwg="}],"offset":1024,"done":true}`,
-	`{"id":47,"op":"repl-snapshot","term":3,"from":1,"prev_index":4096,"prev_term":3,"offset":0,"done":false}`,
-	`{"id":48,"op":"repl-snapshot","done":1}`,
-	`{"id":49,"op":"repl-append","commit":-1}`,
-	`{"id":50,"op":"repl-snapshot","done":true,"done":false,"offset":3,"offset":4}`,
+	// Peer ops travel as binary frames; as JSON lines they are ops the
+	// server does not know.
+	`{"id":40,"op":"repl-append","hlc":115224746733544000}`,
+	`{"id":41,"op":"repl-vote"}`,
+	`{"id":42,"op":"repl-snapshot","session":3}`,
+	`{"id":43,"op":"release","session":3,"lock":"hot-1","token":18446744073709551615}`,
+	`{"id":44,"op":"heartbeat","session":18446744073709551615,"hlc":1}`,
+	`{"id":45,"op":"acquire","session":3,"lock":"L","wait_ms":-1,"prio":9223372036854775807,"attempt":-2}`,
+	`{"id":46,"op":"reconfigure","session":3,"lock":"hot-1","sched":"handoff"}`,
+	`{"id":47,"op":"bye","session":3}`,
+	`{"id":48,"op":"hello","lease_ms":true}`,
+	`{"id":49,"op":"acquire","attempt":-1}`,
+	`{"id":50,"op":"release","token":3,"token":4,"lock":"a","lock":"b"}`,
 	`{"id":13,"op":"exorcise"}` + "\n",
 	// Constructs outside the canonical form.
 	`{"id":1,"op":"acquire","lock":"a\"b\\c\n"}`,
@@ -49,7 +51,7 @@ var requestSeeds = []string{
 	`{"id":1,"op":"hello","client":"<a&b>  "}`,
 	`{"ID":1,"Op":"hello","LOCK":"x","Lease_MS":5}`,
 	`{"id":1,"op":"hello","ſession":4,"Key":1}`,
-	`{"id":null,"op":null,"entries":null}`,
+	`{"id":null,"op":null,"lock":null}`,
 	`{"id":1e3,"op":"x"}`,
 	`{"id":-1,"op":"x"}`,
 	`{"id":18446744073709551615,"prio":-9223372036854775808}`,
@@ -64,12 +66,12 @@ var requestSeeds = []string{
 	`{}`,
 	`{"id":1,}`,
 	`{"id":1,"id":2,"op":"a","op":"b"}`,
-	`{"entries":[{"term":1,"frames":"AA=="}],"entries":[{"frames":"AQ=="}]}`,
-	`{"entries":[]}`,
-	`{"entries":[{}]}`,
-	`{"entries":[{"term":1,"frames":null}]}`,
-	`{"entries":[{"term":1,"frames":"!!"}]}`,
-	`{"entries":[{"term":1,"frames":"AA=="},]}`,
+	`{"lock":"a","lock":"b","session":1,"session":2}`,
+	`{"lock":[]}`,
+	`{"lock":{}}`,
+	`{"lock":null,"client":null}`,
+	`{"trace_id":"!!","parent_span":""}`,
+	`{"policy":["spin"],}`,
 	`{"unknown":{"nested":[1,2,{"x":null}]},"id":5}`,
 	`{"id":"7"}`,
 	`{"op":7}`,
@@ -216,8 +218,6 @@ func setField(t *testing.T, v reflect.Value, s string) {
 		v.SetBool(true)
 	case reflect.String:
 		v.SetString(s)
-	case reflect.Slice: // Entries
-		v.Set(reflect.ValueOf([]lockd.ReplEntry{{Term: 2, Frames: []byte{0, 1, 0xfe, 0xff}}, {Term: 3, Frames: []byte{}}}))
 	case reflect.Pointer: // Stat
 		v.Set(reflect.ValueOf(&lockd.Stat{Sessions: 1, Locks: []lockd.LockStat{{Name: s, Held: true, Token: 9}}}))
 	default:

@@ -489,12 +489,38 @@ func (s *Server) serveConn(c net.Conn) {
 
 	var pending sync.WaitGroup
 	br := bufio.NewReaderSize(c, 4096)
-	var long []byte // storage of the last line longer than br's buffer
+	var (
+		long  []byte      // storage of the last line longer than br's buffer
+		frame []byte      // storage of the connection's peer frames
+		peer  PeerRequest // the connection's reused peer request
+	)
 	for {
+		first, err := br.Peek(1)
+		if err != nil {
+			break
+		}
+		if first[0] == PeerFrameMagic {
+			// A peer request frame: answered inline (strictly ordered per
+			// conn) and never leadership-gated. A bad frame leaves no way
+			// to find the next request, so it ends the connection.
+			frame, err = readPeerFrame(br, maxLineBytes, frame)
+			if err == nil {
+				err = ParsePeerRequest(frame, &peer)
+			}
+			if err != nil {
+				s.logf("lockd: peer frame from %s: %v", c.RemoteAddr(), err)
+				break
+			}
+			s.cfg.Clock.Update(hlc.Time(peer.HLC))
+			if s.cfg.Replica == nil {
+				reply(Response{ID: peer.ID, Code: CodeBadRequest, Err: "replication not enabled"})
+			} else {
+				reply(s.cfg.Replica.HandleRepl(&peer))
+			}
+			continue
+		}
 		line, err := readLine(br, maxLineBytes, long)
 		if len(line) > br.Size() {
-			// Peer appends outgrow the buffer whenever a learner lags:
-			// keep their storage for the next one.
 			long = line[:0]
 		}
 		if err == errLineTooLong {
@@ -517,16 +543,6 @@ func (s *Server) serveConn(c net.Conn) {
 		// Merge the sender's clock before any handler runs (or any
 		// record is journaled) on this request's behalf.
 		s.cfg.Clock.Update(hlc.Time(req.HLC))
-		if req.Op == OpReplAppend || req.Op == OpReplVote || req.Op == OpReplSnapshot {
-			// Peer replication traffic: answered inline (strictly ordered
-			// per conn) and never leadership-gated.
-			if s.cfg.Replica == nil {
-				reply(Response{ID: req.ID, Code: CodeBadRequest, Err: "replication not enabled"})
-			} else {
-				reply(s.cfg.Replica.HandleRepl(req))
-			}
-			continue
-		}
 		if s.cfg.Replica != nil {
 			if g := s.cfg.Replica.Gate(); !g.Leader {
 				reply(Response{ID: req.ID, Code: CodeNotLeader, Err: "not the leader",
@@ -549,7 +565,7 @@ func (s *Server) serveConn(c net.Conn) {
 	pending.Wait()
 }
 
-// maxLineBytes bounds one wire request line.
+// maxLineBytes bounds one wire request line or peer frame.
 const maxLineBytes = 1 << 20
 
 // handle serves the fast (non-blocking) operations.

@@ -8,9 +8,8 @@ import (
 
 // TestReadLineReusesLongLineStorage: lines longer than the reader's
 // buffer are assembled in the storage the caller hands back, so a
-// connection that keeps receiving them (peer appends to a lagging
-// learner) allocates for the first only; short lines still alias the
-// reader's buffer.
+// connection that keeps receiving them allocates for the first only;
+// short lines still alias the reader's buffer.
 func TestReadLineReusesLongLineStorage(t *testing.T) {
 	long1, long2 := strings.Repeat("a", 100), strings.Repeat("b", 90)
 	br := bufio.NewReaderSize(strings.NewReader("short\n"+long1+"\n"+long2+"\nx\n"), 16)

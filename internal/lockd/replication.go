@@ -33,9 +33,11 @@ type ReplGate struct {
 	LeaderAddr string // redirect hint; empty mid-election
 }
 
-// Mutation is one replicated state change. The replica layer encodes it
-// with the journal's record framing (journal.EncodeRecordFrames) for
-// the log; learners decode and apply it to their shadow state.
+// Mutation is one replicated state change, and what every node's
+// replication log holds. A leader encodes it with the journal's record
+// framing (journal.AppendRecordFrames) only as it ships it, straight
+// into a peer frame (a ReplEntry on the wire); learners decode it back
+// out of the frame and keep the Mutation, never the bytes.
 type Mutation struct {
 	Kind    journal.Kind // KindSessionOpen/End, KindAcquire/Release/OwnerDead, KindReconfig
 	Lock    string       // empty for session open/end
@@ -66,7 +68,10 @@ type Mutation struct {
 type Replica interface {
 	Gate() ReplGate
 	Propose(Mutation) error
-	HandleRepl(Request) Response
+	// HandleRepl answers one peer request. req is the connection's
+	// reused request: it and its entries' frames are valid only for the
+	// call.
+	HandleRepl(req *PeerRequest) Response
 }
 
 // propose forwards a mutation to the replica layer, if any.

@@ -31,7 +31,7 @@ func (r *stubReplica) Propose(lockd.Mutation) error {
 	return nil
 }
 
-func (r *stubReplica) HandleRepl(req lockd.Request) lockd.Response {
+func (r *stubReplica) HandleRepl(req *lockd.PeerRequest) lockd.Response {
 	return lockd.Response{ID: req.ID, Code: lockd.CodeBadRequest}
 }
 

@@ -2,7 +2,6 @@ package lockd
 
 import (
 	"bufio"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,31 +11,35 @@ import (
 	"repro/internal/native"
 )
 
-// This file is the wire protocol and its one codec, spoken by all three
-// parties on a lockd socket: the server (serveConn), internal/lockclient,
-// and internal/replica's peer links. A connection carries
-// newline-delimited JSON: one Request per line from the caller, one
-// Response per line from the server. Responses carry the request's ID
-// and may arrive out of order (the server answers fast operations inline
-// but blocks acquisitions on their own goroutines), so callers
-// demultiplex by ID.
+// This file is the wire protocol and its JSON codec, spoken by all
+// three parties on a lockd socket: the server (serveConn),
+// internal/lockclient, and internal/replica's peer links. Clients send
+// newline-delimited JSON, one Request per line; replicas send each
+// other binary PeerRequest frames (peer.go) on the same kind of
+// socket, and the server tells the two apart by a request's first
+// byte. Every response, to a client or a peer, is one JSON Response
+// line. Responses carry the request's ID and may arrive out of order
+// (the server answers fast operations inline but blocks acquisitions
+// on their own goroutines), so callers demultiplex by ID.
 //
-// The codec (AppendRequest/ParseRequest, AppendResponse/ParseResponse,
-// ReadLine) is hand-written so a message costs no reflection and almost
-// no allocation: encoders append into a caller-owned buffer reused per
-// connection, and the decoders walk the canonical line in place. It is
-// byte-identical to encoding/json — the encoders write exactly what
-// json.Marshal writes, and the decoders accept, reject and decode
-// exactly what json.Unmarshal does. That keeps the wire itself
-// unchanged: external clients that speak plain JSON, and tools that read
-// the `{"id":N,"op":"..."` prefix of each line or count messages by
-// newline, see the same bytes. The rare constructs the hand-written
-// paths skip (escaped or non-ASCII strings, case-folded or unknown keys,
-// null, exotic numbers, stat bodies) go through encoding/json inside
-// the codec, for that value or that line only; the package's fuzzers
-// hold both directions equal to encoding/json. A binary length-prefixed
-// frame would be cheaper still, but it changes the bytes on the wire, so
-// it waits until the repository benchmark's probes can parse it.
+// The JSON codec (AppendRequest/ParseRequest, AppendResponse/
+// ParseResponse, ReadLine) is hand-written so a message costs no
+// reflection and almost no allocation: encoders append into a
+// caller-owned buffer reused per connection, and the decoders walk the
+// canonical line in place. It is byte-identical to encoding/json — the
+// encoders write exactly what json.Marshal writes, and the decoders
+// accept, reject and decode exactly what json.Unmarshal does. That
+// keeps the client wire unchanged: external clients that speak plain
+// JSON, and tools that read the `{"id":N,"op":"..."` prefix of each
+// line or count messages by newline, see the same bytes. The rare
+// constructs the hand-written paths skip (escaped or non-ASCII
+// strings, case-folded or unknown keys, null, exotic numbers, stat
+// bodies) go through encoding/json inside the codec, for that value or
+// that line only; the package's fuzzers hold both directions equal to
+// encoding/json. On a peer link each request is still one write and
+// each response still one newline-terminated line, so a tool counting
+// peer messages that way counts the same; only the request bytes are
+// binary now, and no JSON line ever starts a peer link.
 
 // Operation names.
 const (
@@ -64,8 +67,10 @@ const (
 	// OpBye ends the session, releasing every lock it still holds.
 	OpBye = "bye"
 	// OpReplAppend ships replication-log entries (and, with no entries,
-	// leader heartbeats) from the leader to a learner. Peer-to-peer only;
-	// rides the same wire as client traffic.
+	// leader heartbeats) from the leader to a learner. Peer-to-peer
+	// only, and like the other two peer ops it travels as a binary
+	// PeerRequest frame, never as a JSON line (a JSON line naming it is
+	// an unknown op).
 	OpReplAppend = "repl-append"
 	// OpReplVote requests a leadership vote for Term from a peer.
 	OpReplVote = "repl-vote"
@@ -147,34 +152,6 @@ type Request struct {
 	// reconfigure
 	Policy string `json:"policy,omitempty"`
 	Sched  string `json:"sched,omitempty"`
-
-	// replication (repl-append, repl-vote, repl-snapshot): sender's term
-	// and replica id. Appends carry the leader's client-facing address
-	// (the NotLeader hint learners hand out), the log position the
-	// entries extend (PrevIndex = leader log length before them, PrevTerm
-	// = term of the entry just before), the entries, and the leader's
-	// commit index. Votes carry the candidate's log credentials for the
-	// election-safety check. Snapshot pieces carry Offset and Done (see
-	// OpReplSnapshot).
-	Term       uint64      `json:"term,omitempty"`
-	From       int         `json:"from,omitempty"`
-	LeaderAddr string      `json:"leader_addr,omitempty"`
-	PrevIndex  uint64      `json:"prev_index,omitempty"`
-	PrevTerm   uint64      `json:"prev_term,omitempty"`
-	Entries    []ReplEntry `json:"entries,omitempty"`
-	LogLen     uint64      `json:"log_len,omitempty"`
-	LastTerm   uint64      `json:"last_term,omitempty"`
-	Commit     uint64      `json:"commit,omitempty"`
-	Offset     uint64      `json:"offset,omitempty"`
-	Done       bool        `json:"done,omitempty"`
-}
-
-// ReplEntry is one replication-log entry on the wire: the term it was
-// appended under and the mutation as a self-contained run of journal
-// record frames (journal.EncodeRecordFrames), base64 in JSON.
-type ReplEntry struct {
-	Term   uint64 `json:"term"`
-	Frames []byte `json:"frames"`
 }
 
 // Response is one server->client message.
@@ -306,36 +283,6 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	dst = appendUintField(dst, `,"token":`, r.Token)
 	dst = appendStringField(dst, `,"policy":`, r.Policy)
 	dst = appendStringField(dst, `,"sched":`, r.Sched)
-	dst = appendUintField(dst, `,"term":`, r.Term)
-	dst = appendIntField(dst, `,"from":`, int64(r.From))
-	dst = appendStringField(dst, `,"leader_addr":`, r.LeaderAddr)
-	dst = appendUintField(dst, `,"prev_index":`, r.PrevIndex)
-	dst = appendUintField(dst, `,"prev_term":`, r.PrevTerm)
-	if len(r.Entries) > 0 {
-		dst = append(dst, `,"entries":[`...)
-		for i, e := range r.Entries {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"term":`...)
-			dst = strconv.AppendUint(dst, e.Term, 10)
-			dst = append(dst, `,"frames":`...)
-			if e.Frames == nil {
-				dst = append(dst, "null"...)
-			} else {
-				dst = append(dst, '"')
-				dst = base64.StdEncoding.AppendEncode(dst, e.Frames)
-				dst = append(dst, '"')
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	dst = appendUintField(dst, `,"log_len":`, r.LogLen)
-	dst = appendUintField(dst, `,"last_term":`, r.LastTerm)
-	dst = appendUintField(dst, `,"commit":`, r.Commit)
-	dst = appendUintField(dst, `,"offset":`, r.Offset)
-	dst = appendBoolField(dst, `,"done":true`, r.Done)
 	return append(dst, '}', '\n')
 }
 
@@ -493,33 +440,6 @@ func parseRequest(line []byte, r *Request) bool {
 			r.Policy = s.string()
 		case "sched":
 			r.Sched = s.string()
-		case "term":
-			r.Term = s.uint()
-		case "from":
-			r.From = s.int()
-		case "leader_addr":
-			r.LeaderAddr = s.string()
-		case "prev_index":
-			r.PrevIndex = s.uint()
-		case "prev_term":
-			r.PrevTerm = s.uint()
-		case "entries":
-			if r.Entries != nil {
-				// A repeated key: json.Unmarshal decodes into the
-				// first array's elements, merging the two.
-				return false
-			}
-			r.Entries = s.entries()
-		case "log_len":
-			r.LogLen = s.uint()
-		case "last_term":
-			r.LastTerm = s.uint()
-		case "commit":
-			r.Commit = s.uint()
-		case "offset":
-			r.Offset = s.uint()
-		case "done":
-			r.Done = s.bool()
 		default:
 			// Unknown, case-folded or malformed key: json.Unmarshal
 			// decides (it ignores, folds or rejects).
@@ -680,8 +600,7 @@ func (s *scanner) op() string { return s.known(opNames) }
 func (s *scanner) code() string { return s.known(codeNames) }
 
 var (
-	opNames = []string{OpHello, OpAcquire, OpRelease, OpHeartbeat, OpReconfigure,
-		OpStat, OpBye, OpReplAppend, OpReplVote, OpReplSnapshot}
+	opNames   = []string{OpHello, OpAcquire, OpRelease, OpHeartbeat, OpReconfigure, OpStat, OpBye}
 	codeNames = []string{CodeOverloaded, CodeTimeout, CodeExpired, CodeAlreadyHeld,
 		CodeStaleToken, CodeBadRequest, CodeShutdown, CodeNotLeader, CodeUnavailable}
 )
@@ -747,65 +666,6 @@ func (s *scanner) int() int {
 		s.bad = true
 	}
 	return int(v)
-}
-
-// entries consumes a non-empty array of replication entries. An empty
-// array, null, or an entry with missing or odd members is left to
-// json.Unmarshal.
-func (s *scanner) entries() []ReplEntry {
-	if !s.lit('[') {
-		s.bad = true
-		return nil
-	}
-	var es []ReplEntry
-	for {
-		var e ReplEntry
-		if !s.lit('{') {
-			s.bad = true
-			return nil
-		}
-		for {
-			switch string(s.key()) {
-			case "term":
-				e.Term = s.uint()
-			case "frames":
-				e.Frames = s.frames()
-			default:
-				s.bad = true
-				return nil
-			}
-			if !s.next() {
-				break
-			}
-		}
-		if s.bad || !s.lit('}') {
-			s.bad = true
-			return nil
-		}
-		es = append(es, e)
-		if s.lit(']') {
-			return es
-		}
-		if !s.lit(',') {
-			s.bad = true
-			return nil
-		}
-	}
-}
-
-// frames consumes a base64 string, decoding it as encoding/json does.
-func (s *scanner) frames() []byte {
-	b := s.raw()
-	if s.bad {
-		return nil
-	}
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(b)))
-	n, err := base64.StdEncoding.Decode(out, b)
-	if err != nil {
-		s.bad = true
-		return nil
-	}
-	return out[:n]
 }
 
 // errLineTooLong marks a line exceeding ReadLine's bound; the line is

@@ -72,7 +72,7 @@ func TestSnapshotRenderRoundTrip(t *testing.T) {
 		}
 		rebuilt := newShadow()
 		for _, m := range sh.render() {
-			back, err := decodeMutation(encodeMutation(m, 1))
+			back, err := decodeMutation(appendMutation(nil, m, 1))
 			if err != nil {
 				t.Fatalf("seed %d: decode rendered %+v: %v", seed, m, err)
 			}
@@ -139,7 +139,7 @@ var mutationKinds = []journal.Kind{
 }
 
 // FuzzDecodeMutation: decodeMutation never panics on arbitrary bytes,
-// and encodeMutation → decodeMutation round-trips every mutation kind
+// and appendMutation → decodeMutation round-trips every mutation kind
 // whose names fit a frame, reconfig's "policy,sched" agent frame
 // included.
 func FuzzDecodeMutation(f *testing.F) {
@@ -150,7 +150,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		if k == journal.KindReconfig {
 			m.Agent, m.Policy, m.Sched = "", "spin", "priority"
 		}
-		frames := encodeMutation(m, 1760848841123456789)
+		frames := appendMutation(nil, m, 1760848841123456789)
 		f.Add(frames, uint8(i), m.Lock, m.Agent, m.Session, m.Token, m.Trace, m.DurNs, m.Policy, m.Sched, m.HLC)
 		f.Add(frames[:len(frames)-1], uint8(i), "", "", uint64(0), uint64(0), uint64(0), int64(-1), "", ",", uint64(1))
 	}
@@ -171,7 +171,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		if len(lockName) > journal.MaxNameLen || len(m.Agent) > journal.MaxNameLen {
 			return // names are clipped to a frame
 		}
-		got, err := decodeMutation(encodeMutation(m, dur))
+		got, err := decodeMutation(appendMutation(nil, m, dur))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", m, err)
 		}
@@ -191,7 +191,7 @@ func TestCommitOnlyOverOwnTerm(t *testing.T) {
 	n.clusterIDs = []int{1, 2, 3}
 	n.role, n.term = RoleLeader, 3
 	for _, term := range []uint64{1, 2, 3} {
-		n.log = append(n.log, logEntry{ReplEntry: lockd.ReplEntry{Term: term}})
+		n.log = append(n.log, logEntry{term: term})
 	}
 	peer := &replicator{match: 2}
 	n.repl = []*replicator{peer, {}}

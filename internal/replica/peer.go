@@ -30,13 +30,15 @@ type peerConn struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	br     *bufio.Reader
-	wbuf   []byte // reused request line buffer
+	wbuf   []byte // reused request frame buffer
 	nextID uint64
 }
 
-// call sends one request and waits for its response, bounded by
-// timeout end to end (dial included).
-func (p *peerConn) call(req lockd.Request, timeout time.Duration) (lockd.Response, error) {
+// call sends one request carrying ents, their record frames stamped at
+// atNs, and waits for its response, bounded by timeout end to end (dial
+// included). The frames are encoded straight into the link's reused
+// write buffer.
+func (p *peerConn) call(req *lockd.PeerRequest, ents []logEntry, atNs int64, timeout time.Duration) (lockd.Response, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	deadline := time.Now().Add(timeout)
@@ -50,7 +52,9 @@ func (p *peerConn) call(req lockd.Request, timeout time.Duration) (lockd.Respons
 	}
 	p.nextID++
 	req.ID = p.nextID
-	p.wbuf = lockd.AppendRequest(p.wbuf[:0], &req)
+	p.wbuf = lockd.AppendPeerRequest(p.wbuf[:0], req, len(ents), func(dst []byte, i int) ([]byte, uint64) {
+		return appendMutation(dst, ents[i].m, atNs), ents[i].term
+	})
 	p.conn.SetDeadline(deadline) //nolint:errcheck // best-effort bound
 	if _, err := p.conn.Write(p.wbuf); err != nil {
 		p.resetLocked()

@@ -55,11 +55,16 @@
 //     nothing into its journal. A node promoted to leader serves the
 //     base plus the entries after it.
 //
-// Log entries reuse the journal's CRC-framed binary record format
-// (journal.EncodeRecordFrames): a replicated mutation IS a journal
-// record in flight, and learners echo applied entries into their own
-// journals, so the merged journals of a whole cluster replay into one
-// verifiable history (journal.Verify's replicated mode).
+// Every node's log holds mutations, never bytes. On the wire an entry
+// is the journal's CRC-framed binary record format
+// (journal.AppendRecordFrames) inside a binary peer frame
+// (lockd.PeerRequest): a replicated mutation IS a journal record in
+// flight. The leader encodes an entry's frames only as it ships them,
+// straight into the peer link's reused write buffer, and learners
+// decode each entry straight out of the frame they read. Learners echo
+// applied entries into their own journals, so the merged journals of a
+// whole cluster replay into one verifiable history (journal.Verify's
+// replicated mode).
 package replica
 
 import (
@@ -120,11 +125,15 @@ const (
 )
 
 // compactChunk is defaultCompactChunk, and snapshotPiece the most
-// mutations one repl-snapshot message carries: a lock renders to ~200
-// bytes of wire, so 1024 keep a piece far inside the 1 MiB line limit
-// that a whole snapshot of ~5000 locks would pass. Tests lower both so
-// that short runs compact and installs cross piece boundaries.
-var compactChunk, snapshotPiece = defaultCompactChunk, 1024
+// mutations one repl-snapshot message carries: a mutation takes at most
+// ~230 bytes of a peer frame (three 72-byte record frames and its
+// head), so 1024 keep a piece far inside the 1 MiB frame limit that a
+// whole snapshot of ~5000 locks would pass. Tests lower both so that
+// short runs compact and installs cross piece boundaries. maxAppend
+// bounds an append the same way: a learner far behind catches up in
+// appends of at most that many entries, not in one that outgrows the
+// frame limit.
+var compactChunk, snapshotPiece, maxAppend = defaultCompactChunk, 1024, 1024
 
 // ErrNotLeader is Propose's answer on a non-leader.
 var ErrNotLeader = errors.New("replica: not the leader")
@@ -348,11 +357,11 @@ func (n *Node) Transitions() []Transition {
 
 func (n *Node) quorumLocked() int { return len(n.clusterIDs)/2 + 1 }
 
-// logEntry is one retained log entry: its wire form and the mutation it
-// decodes to, kept so that folding it into the base decodes nothing.
+// logEntry is one retained log entry: the term it was appended under
+// and its mutation. Its wire form exists only while it is shipped.
 type logEntry struct {
-	lockd.ReplEntry
-	m lockd.Mutation
+	term uint64
+	m    lockd.Mutation
 }
 
 // lastIndex is the index of the newest log entry (0: none yet).
@@ -363,7 +372,7 @@ func (n *Node) termAt(i uint64) uint64 {
 	if i == n.snapIndex {
 		return n.snapTerm
 	}
-	return n.log[i-n.snapIndex-1].Term
+	return n.log[i-n.snapIndex-1].term
 }
 
 // liveShadowLocked builds the state after the whole log: the base plus
@@ -425,10 +434,7 @@ func (n *Node) Propose(m lockd.Mutation) error {
 	if m.HLC == 0 {
 		m.HLC = uint64(n.cfg.Clock.Now())
 	}
-	n.log = append(n.log, logEntry{
-		ReplEntry: lockd.ReplEntry{Term: n.term, Frames: encodeMutation(m, n.cfg.Clock.PhysNow())},
-		m:         m,
-	})
+	n.log = append(n.log, logEntry{term: n.term, m: m})
 	idx, term := n.lastIndex(), n.term
 	n.advanceLocked(time.Now()) // a one-node cluster commits here
 	for _, r := range n.repl {
@@ -535,7 +541,7 @@ func (n *Node) runElection() {
 	n.mu.Unlock()
 	n.logf("replica %d: standing for term %d", n.cfg.ID, term)
 
-	req := lockd.Request{
+	req := lockd.PeerRequest{
 		Op:         lockd.OpReplVote,
 		Term:       term,
 		From:       n.cfg.ID,
@@ -553,7 +559,8 @@ func (n *Node) runElection() {
 		wg.Add(1)
 		go func(p *peerConn) {
 			defer wg.Done()
-			resp, err := p.call(req, n.lease/2)
+			req := req // call stamps the link's request id into it
+			resp, err := p.call(&req, nil, 0, n.lease/2)
 			if err != nil {
 				return
 			}
@@ -700,7 +707,7 @@ func (n *Node) replicate(r *replicator) {
 	}
 	timer := time.NewTimer(heartbeat)
 	defer timer.Stop()
-	var batch []lockd.ReplEntry // reused across appends
+	var batch []logEntry // reused across appends
 	var retryAt time.Time
 	for {
 		n.mu.Lock()
@@ -749,28 +756,25 @@ func (n *Node) replicate(r *replicator) {
 			resp, err = n.sendSnapshot(r, acked, term, muts)
 		} else {
 			prevTerm := n.termAt(ni)
+			end := min(last, ni+uint64(maxAppend))
 			// Copy the entries out: a later term may truncate the log, and
 			// compaction moves it, under a slice of it while this append
-			// is on the wire.
-			batch = batch[:0]
-			for _, e := range n.log[ni-n.snapIndex:] {
-				batch = append(batch, e.ReplEntry)
-			}
-			acked = last
-			r.next, r.lastSend = last, now
+			// is on the wire. Their frames are encoded outside the lock.
+			batch = append(batch[:0], n.log[ni-n.snapIndex:end-n.snapIndex]...)
+			acked = end
+			r.next, r.lastSend = end, now
 			commit := n.commit
 			n.mu.Unlock()
-			resp, err = r.p.call(lockd.Request{
+			resp, err = r.p.call(&lockd.PeerRequest{
 				Op:         lockd.OpReplAppend,
 				Term:       r.term,
 				From:       n.cfg.ID,
 				LeaderAddr: n.selfAddr,
 				PrevIndex:  ni,
 				PrevTerm:   prevTerm,
-				Entries:    batch,
 				Commit:     commit,
 				HLC:        uint64(n.cfg.Clock.Now()),
-			}, n.lease/3)
+			}, batch, sentNs, n.lease/3)
 		}
 		if err == nil {
 			n.cfg.Clock.Update(hlc.Time(resp.HLC))
@@ -823,25 +827,24 @@ func (n *Node) replicate(r *replicator) {
 // answer to the last piece, or to the first that failed.
 func (n *Node) sendSnapshot(r *replicator, idx, term uint64, muts []lockd.Mutation) (lockd.Response, error) {
 	atNs := n.cfg.Clock.PhysNow()
+	ents := make([]logEntry, len(muts))
+	for i, m := range muts {
+		ents[i] = logEntry{term: term, m: m}
+	}
 	for off := 0; ; off += snapshotPiece {
-		end := min(off+snapshotPiece, len(muts))
-		ents := make([]lockd.ReplEntry, 0, end-off)
-		for _, m := range muts[off:end] {
-			ents = append(ents, lockd.ReplEntry{Term: term, Frames: encodeMutation(m, atNs)})
-		}
-		resp, err := r.p.call(lockd.Request{
+		end := min(off+snapshotPiece, len(ents))
+		resp, err := r.p.call(&lockd.PeerRequest{
 			Op:         lockd.OpReplSnapshot,
 			Term:       r.term,
 			From:       n.cfg.ID,
 			LeaderAddr: n.selfAddr,
 			PrevIndex:  idx,
 			PrevTerm:   term,
-			Entries:    ents,
 			Offset:     uint64(off),
-			Done:       end == len(muts),
+			Done:       end == len(ents),
 			HLC:        uint64(n.cfg.Clock.Now()),
-		}, n.lease/3)
-		if err != nil || !resp.OK || end == len(muts) {
+		}, ents[off:end], atNs, n.lease/3)
+		if err != nil || !resp.OK || end == len(ents) {
 			return resp, err
 		}
 	}
@@ -894,7 +897,9 @@ func (n *Node) advanceLocked(now time.Time) {
 }
 
 // HandleRepl implements lockd.Replica: the server hands peer RPCs here.
-func (n *Node) HandleRepl(req lockd.Request) lockd.Response {
+// req and its entries' frames are the connection's and valid only for
+// the call, so nothing here keeps a reference to them.
+func (n *Node) HandleRepl(req *lockd.PeerRequest) lockd.Response {
 	switch req.Op {
 	case lockd.OpReplVote:
 		return n.handleVote(req)
@@ -907,7 +912,7 @@ func (n *Node) HandleRepl(req lockd.Request) lockd.Response {
 // handleVote grants at most one vote per term, and only to candidates
 // whose log is at least as complete as ours — the election-safety half
 // of token monotonicity.
-func (n *Node) handleVote(req lockd.Request) lockd.Response {
+func (n *Node) handleVote(req *lockd.PeerRequest) lockd.Response {
 	n.cfg.Clock.Update(hlc.Time(req.HLC))
 	n.mu.Lock()
 	resp := lockd.Response{ID: req.ID}
@@ -950,7 +955,7 @@ func (n *Node) handleVote(req lockd.Request) lockd.Response {
 // follow answers the leader's appends and snapshot pieces: adopt its
 // term and leadership, apply the request (appendLocked or
 // snapshotLocked), and demote this node if it was leading.
-func (n *Node) follow(req lockd.Request) lockd.Response {
+func (n *Node) follow(req *lockd.PeerRequest) lockd.Response {
 	n.cfg.Clock.Update(hlc.Time(req.HLC))
 	n.mu.Lock()
 	resp := lockd.Response{ID: req.ID}
@@ -989,9 +994,11 @@ func (n *Node) follow(req lockd.Request) lockd.Response {
 }
 
 // appendLocked checks (PrevIndex, PrevTerm) consistency, cuts any
-// conflicting suffix, appends what is genuinely new, echoes it into the
-// local journal, and folds what the leader's commit index covers.
-func (n *Node) appendLocked(req lockd.Request, resp *lockd.Response) {
+// conflicting suffix, appends what is genuinely new (decoded straight
+// out of the frame: the log keeps the mutations, not the bytes), echoes
+// it into the local journal, and folds what the leader's commit index
+// covers.
+func (n *Node) appendLocked(req *lockd.PeerRequest, resp *lockd.Response) {
 	last := n.lastIndex()
 	switch {
 	case req.PrevIndex > last:
@@ -1031,7 +1038,7 @@ func (n *Node) appendLocked(req lockd.Request, resp *lockd.Response) {
 	}
 	for _, e := range ents {
 		m, err := decodeMutation(e.Frames)
-		n.log = append(n.log, logEntry{ReplEntry: e, m: m})
+		n.log = append(n.log, logEntry{term: e.Term, m: m})
 		if err != nil {
 			n.logf("replica %d: undecodable log entry %d: %v", n.cfg.ID, n.lastIndex(), err)
 			continue
@@ -1056,7 +1063,7 @@ type snapRecv struct {
 // snapshotLocked applies one piece of the leader's snapshot; the last
 // piece installs it. A piece out of order drops what was collected, and
 // the leader starts over.
-func (n *Node) snapshotLocked(req lockd.Request, resp *lockd.Response) {
+func (n *Node) snapshotLocked(req *lockd.PeerRequest, resp *lockd.Response) {
 	defer func() { resp.NextIndex = n.lastIndex() }()
 	if req.Offset == 0 {
 		n.recv = &snapRecv{index: req.PrevIndex, term: req.PrevTerm, sh: newShadow()}

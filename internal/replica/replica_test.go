@@ -275,7 +275,7 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		{Kind: journal.KindSessionEnd, Session: 42},
 	}
 	for _, m := range cases {
-		got, err := decodeMutation(encodeMutation(m, 123456789))
+		got, err := decodeMutation(appendMutation(nil, m, 123456789))
 		if err != nil {
 			t.Fatalf("decode %v: %v", m.Kind, err)
 		}
@@ -287,7 +287,7 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 
 func TestShadowReplayRebuildsAfterTruncation(t *testing.T) {
 	mk := func(m lockd.Mutation, term uint64) logEntry {
-		return logEntry{ReplEntry: lockd.ReplEntry{Term: term, Frames: encodeMutation(m, 1)}, m: m}
+		return logEntry{term: term, m: m}
 	}
 	log := []logEntry{
 		mk(lockd.Mutation{Kind: journal.KindSessionOpen, Agent: "a", Session: 1, DurNs: 10}, 1),

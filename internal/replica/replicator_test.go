@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -108,9 +107,9 @@ type linkConn struct {
 }
 
 func (c *linkConn) Write(b []byte) (int, error) {
-	var req lockd.Request
-	isAppend := lockd.ParseRequest(bytes.TrimSuffix(b, []byte("\n")), &req) == nil &&
-		req.Op == lockd.OpReplAppend
+	// Each write is one whole peer request frame.
+	var req lockd.PeerRequest
+	isAppend := lockd.ParsePeerRequest(b, &req) == nil && req.Op == lockd.OpReplAppend
 	c.l.mu.Lock()
 	if isAppend {
 		c.l.sends = append(c.l.sends, sendRec{from: c.from, to: c.to, at: time.Now(), entries: len(req.Entries)})
@@ -142,7 +141,7 @@ func (n *Node) holdsToken(tok uint64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, e := range n.log {
-		if m, err := decodeMutation(e.Frames); err == nil && m.Token == tok {
+		if e.m.Token == tok {
 			return true
 		}
 	}
@@ -367,4 +366,45 @@ func TestLogLagFromMatch(t *testing.T) {
 	}
 	l.release(held)
 	waitFor(t, 3*time.Second, "lag 0 after release", func() bool { return c.converged(li) && leader.logLag() == 0 })
+}
+
+// TestAppendsBoundedWhileCatchingUp: a learner whose link held its
+// appends while the log grew catches up in appends of at most maxAppend
+// entries each, so no frame outgrows the peer frame limit however far
+// behind it fell.
+func TestAppendsBoundedWhileCatchingUp(t *testing.T) {
+	defer func(old int) { maxAppend = old }(maxAppend)
+	maxAppend = 3
+	l := newLinks()
+	c := startClusterDial(t, 3, 2*time.Second, 3, l.dial)
+	t.Cleanup(l.releaseAll)
+	li := c.waitLeader(8 * time.Second)
+	leader := c.nodes[li]
+	held := c.peers[c.learners(li)[0]].Addr
+	since := time.Now()
+	l.hold(held)
+	const k = 10
+	for tok := uint64(1); tok <= k; tok++ {
+		if err := leader.Propose(grant(tok)); err != nil {
+			t.Fatalf("propose %d: %v", tok, err)
+		}
+	}
+	l.release(held)
+	waitFor(t, 3*time.Second, "the held learner to converge", func() bool { return c.converged(li) })
+	var batches []int
+	total := 0
+	for _, s := range l.appendsTo(leader.cfg.ID, held, since) {
+		if s.entries > 0 {
+			batches = append(batches, s.entries)
+			total += s.entries
+		}
+	}
+	for _, b := range batches {
+		if b > maxAppend {
+			t.Fatalf("append batches %v, want none over %d entries", batches, maxAppend)
+		}
+	}
+	if total < k || len(batches) < 4 {
+		t.Fatalf("append batches %v carry %d entries, want %d in at least 4 appends", batches, total, k)
+	}
 }

@@ -20,11 +20,11 @@ import (
 // with that token, which is what lets render rebuild the held sets from
 // the holders.
 
-// encodeMutation renders a mutation as one replication-log payload: a
-// self-contained run of journal record frames stamped at atNs. The
-// journal's framing is reused deliberately — a log entry IS a journal
-// record in flight, CRC and all.
-func encodeMutation(m lockd.Mutation, atNs int64) []byte {
+// appendMutation appends a mutation to dst as one replication-log
+// entry's payload: a self-contained run of journal record frames
+// stamped at atNs. The journal's framing is reused deliberately — a log
+// entry IS a journal record in flight, CRC and all.
+func appendMutation(dst []byte, m lockd.Mutation, atNs int64) []byte {
 	rec := journal.Record{
 		Kind:   m.Kind,
 		Origin: journal.OriginLockd,
@@ -42,10 +42,10 @@ func encodeMutation(m lockd.Mutation, atNs int64) []byte {
 		// shadow does not need the reconfiguring agent's name).
 		agent = m.Policy + "," + m.Sched
 	}
-	return journal.EncodeRecordFrames(rec, m.Lock, agent)
+	return journal.AppendRecordFrames(dst, rec, m.Lock, agent)
 }
 
-// decodeMutation inverts encodeMutation.
+// decodeMutation inverts appendMutation.
 func decodeMutation(frames []byte) (lockd.Mutation, error) {
 	e, err := journal.DecodeRecordFrames(frames)
 	if err != nil {
