@@ -12,7 +12,6 @@
 package causal
 
 import (
-	"fmt"
 	"os"
 	"sort"
 	"strconv"
@@ -30,8 +29,19 @@ type TraceID uint64
 // process boundaries (a server span parented on a client span).
 type SpanID uint64
 
-func (t TraceID) String() string { return fmt.Sprintf("%016x", uint64(t)) }
-func (s SpanID) String() string  { return fmt.Sprintf("%016x", uint64(s)) }
+func (t TraceID) String() string { return hex16(uint64(t)) }
+func (s SpanID) String() string  { return hex16(uint64(s)) }
+
+// hex16 formats v as 16 zero-padded lowercase hex digits, the bytes
+// fmt's %016x prints, without fmt's cost on the lockd grant path.
+func hex16(v uint64) string {
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
+}
 
 // ParseTraceID decodes the hex form produced by TraceID.String. Empty
 // input or garbage yields 0 (no trace) — wire fields are optional.

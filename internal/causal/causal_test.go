@@ -1,9 +1,24 @@
 package causal
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// TestIDStringMatchesFmt pins the hand-written hex form of trace and
+// span ids to the bytes fmt's %016x prints.
+func TestIDStringMatchesFmt(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xabc, ^uint64(0)} {
+		want := fmt.Sprintf("%016x", v)
+		if got := TraceID(v).String(); got != want {
+			t.Errorf("TraceID(%#x).String() = %q, want %q", v, got, want)
+		}
+		if got := SpanID(v).String(); got != want {
+			t.Errorf("SpanID(%#x).String() = %q, want %q", v, got, want)
+		}
+	}
+}
 
 func TestIDRoundTrip(t *testing.T) {
 	SetIDSeed(42)

@@ -343,13 +343,13 @@ func (g *Graph) Reset() {
 	g.mu.Unlock()
 }
 
-// WriteDOT renders the graph in Graphviz DOT: actors as ellipses, locks
-// as boxes, wait edges dashed, hold edges solid, cycle members red.
-func (g *Graph) WriteDOT(w io.Writer) error {
-	snap := GraphSnapshot{}
-	if g != nil {
-		snap = g.Snapshot()
-	}
+// WriteDOT renders the graph in Graphviz DOT (see GraphSnapshot.WriteDOT).
+func (g *Graph) WriteDOT(w io.Writer) error { return g.Snapshot().WriteDOT(w) }
+
+// WriteDOT renders the snapshot in Graphviz DOT: actors as ellipses,
+// locks as boxes, wait edges dashed, hold edges solid, cycle members
+// red.
+func (snap GraphSnapshot) WriteDOT(w io.Writer) error {
 	inCycle := make(map[string]bool)
 	for _, cyc := range snap.Cycles {
 		for _, a := range cyc {

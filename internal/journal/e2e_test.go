@@ -94,7 +94,7 @@ func TestVerifyMergedClientServer(t *testing.T) {
 	// The merged timeline replays into an empty wait-for graph at the
 	// end — nothing held, nothing waiting.
 	merged := journal.Merge(procs)
-	snap := journal.GraphAt(merged, merged[len(merged)-1].AtNs).Snapshot()
+	snap := journal.GraphAt(merged, merged[len(merged)-1].AtNs)
 	if len(snap.Holders) != 0 || len(snap.Waits) != 0 {
 		t.Fatalf("graph at end not empty: %+v", snap)
 	}

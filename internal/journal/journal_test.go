@@ -388,7 +388,7 @@ func TestGraphAtReplay(t *testing.T) {
 		{Record: Record{Kind: KindRelease, AtNs: 30}, LockName: "a", AgentName: "w1"},
 		{Record: Record{Kind: KindAcquire, AtNs: 31}, LockName: "a", AgentName: "w2"},
 	}}})
-	snap := GraphAt(timeline, 25).Snapshot()
+	snap := GraphAt(timeline, 25)
 	if h := holderAt(snap.Holders, "a"); h != "p/w1" {
 		t.Fatalf("holder at t=25 = %q: %+v", h, snap.Holders)
 	}
@@ -401,7 +401,7 @@ func TestGraphAtReplay(t *testing.T) {
 	if !found {
 		t.Fatalf("w2 wait edge missing at t=25: %+v", snap.Waits)
 	}
-	if h := holderAt(GraphAt(timeline, 40).Snapshot().Holders, "a"); h != "p/w2" {
+	if h := holderAt(GraphAt(timeline, 40).Holders, "a"); h != "p/w2" {
 		t.Fatalf("holder at t=40 = %q, want p/w2", h)
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // The read side works on segment files alone — no live Journal needed,
-// no writer cooperation. It is what cmd/lockjournal and the telemetry
+// no writer cooperation. It is what cmd/locktimeline and the telemetry
 // /debug/journal endpoint build on. Robustness rules: a frame with a
 // bad CRC ends the segment (everything after a torn write is suspect);
 // a short trailing read is a torn tail, not an error.
@@ -24,6 +24,28 @@ type Entry struct {
 	Record
 	LockName  string `json:"lock"`
 	AgentName string `json:"agent,omitempty"`
+}
+
+// LockLabel names e's lock: its journaled name, or lock#ID when the
+// name frame was never read.
+func (e Entry) LockLabel() string {
+	if e.LockName != "" {
+		return e.LockName
+	}
+	return "lock#" + strconv.FormatUint(uint64(e.Lock), 10)
+}
+
+// ParseInstant reads an instant given as a nanosecond epoch integer or
+// an RFC3339 timestamp.
+func ParseInstant(s string) (int64, error) {
+	if ns, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return ns, nil
+	}
+	t, err := time.Parse(time.RFC3339Nano, s)
+	if err != nil {
+		return 0, fmt.Errorf("instant %q: not a ns epoch or RFC3339 time", s)
+	}
+	return t.UnixNano(), nil
 }
 
 // SegmentInfo describes one segment file on disk.
@@ -308,10 +330,7 @@ func VerifyOrdered(procs []ProcEntries, order Order) VerifyReport {
 				}
 				m[p.Proc] = true
 			}
-			name := e.LockName
-			if name == "" {
-				name = fmt.Sprintf("lock#%d", e.Lock)
-			}
+			name := e.LockLabel()
 			if e.Origin == OriginLockd && replicated[name] {
 				if e.Kind == KindDrops {
 					dropsSeen = true
@@ -388,10 +407,7 @@ func replicatedLocks(procs []ProcEntries) map[string]bool {
 			if e.Origin != OriginLockd {
 				continue
 			}
-			name := e.LockName
-			if name == "" {
-				name = fmt.Sprintf("lock#%d", e.Lock)
-			}
+			name := e.LockLabel()
 			m := seen[name]
 			if m == nil {
 				m = map[string]bool{}
@@ -439,10 +455,7 @@ func verifyReplicated(procs []ProcEntries, replicated map[string]bool, order Ord
 		if m.Origin != OriginLockd {
 			continue
 		}
-		name := m.LockName
-		if name == "" {
-			name = fmt.Sprintf("lock#%d", m.Lock)
-		}
+		name := m.LockLabel()
 		if !replicated[name] {
 			continue
 		}
@@ -534,18 +547,18 @@ func afterInstant(e Entry, atNs int64, cut hlc.Time) bool {
 // atNs and returns the wait-for graph as it stood then — who held
 // what, who waited on whom — for post-hoc deadlock analysis. The cut
 // is taken in HLC order where records are stamped, wall order where
-// not.
-func GraphAt(entries []MergedEntry, atNs int64) *causal.Graph {
+// not. Each suspected cycle is stamped with the wall instant of the
+// record that closed it, not the moment of the replay, so one journal
+// always replays to the same snapshot.
+func GraphAt(entries []MergedEntry, atNs int64) causal.GraphSnapshot {
 	cut := hlc.CutAt(atNs)
 	g := causal.NewGraph()
+	var closedAt []time.Time // one per suspicion, oldest first
 	for _, e := range entries {
 		if afterInstant(e.Entry, atNs, cut) {
 			break
 		}
-		lock := e.LockName
-		if lock == "" {
-			lock = fmt.Sprintf("lock#%d", e.Lock)
-		}
+		lock := e.LockLabel()
 		actor := mergedActor(e)
 		switch e.Kind {
 		case KindWait:
@@ -558,8 +571,17 @@ func GraphAt(entries []MergedEntry, atNs int64) *causal.Graph {
 		case KindRelease, KindOwnerDead:
 			g.SetHolder(lock, "")
 		}
+		for int64(len(closedAt)) < g.DeadlockSuspected() {
+			closedAt = append(closedAt, time.Unix(0, e.AtNs).UTC())
+		}
 	}
-	return g
+	snap := g.Snapshot()
+	// Recent holds the newest suspicions, in the order they closed.
+	closedAt = closedAt[len(closedAt)-len(snap.Recent):]
+	for i := range snap.Recent {
+		snap.Recent[i].At = closedAt[i]
+	}
+	return snap
 }
 
 // mergedActor names the acting party of a merged record, qualified by
@@ -586,16 +608,12 @@ func Spans(entries []MergedEntry) []causal.Span {
 	var spans []causal.Span
 	nextID := causal.SpanID(1)
 	add := func(e MergedEntry, name string, startNs, endNs int64, token uint64) {
-		lock := e.LockName
-		if lock == "" {
-			lock = fmt.Sprintf("lock#%d", e.Lock)
-		}
 		s := causal.Span{
 			Trace: causal.TraceID(e.Trace), ID: nextID, Name: name,
-			Actor: mergedActor(e), Object: lock, Start: startNs, End: endNs,
+			Actor: mergedActor(e), Object: e.LockLabel(), Start: startNs, End: endNs,
 		}
 		if token != 0 {
-			s.Attrs = map[string]string{"token": fmt.Sprint(token)}
+			s.Attrs = map[string]string{"token": strconv.FormatUint(token, 10)}
 		}
 		nextID++
 		spans = append(spans, s)

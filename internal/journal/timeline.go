@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/causal"
 	"repro/internal/hlc"
 )
 
@@ -42,24 +43,48 @@ func FilterMerged(entries []MergedEntry, q Query) []MergedEntry {
 		if q.ToNs > 0 && afterInstant(e.Entry, q.ToNs, hi) {
 			continue
 		}
-		if q.Lock != "" && e.LockName != q.Lock {
-			continue
+		if q.Matches(e.Entry) {
+			out = append(out, e)
 		}
-		if q.Agent != "" && e.AgentName != q.Agent {
-			continue
-		}
-		if q.Kind != KindInvalid && e.Kind != q.Kind {
-			continue
-		}
-		if q.Trace != 0 && e.Trace != q.Trace {
-			continue
-		}
-		out = append(out, e)
 	}
 	if q.Limit > 0 && len(out) > q.Limit {
 		out = out[len(out)-q.Limit:]
 	}
 	return out
+}
+
+// Matches reports whether e passes q's lock, agent, kind and trace
+// filters. The time bounds and Limit are left to the caller, which
+// knows its time domain.
+func (q Query) Matches(e Entry) bool {
+	return (q.Lock == "" || e.LockName == q.Lock) &&
+		(q.Agent == "" || e.AgentName == q.Agent) &&
+		(q.Kind == KindInvalid || e.Kind == q.Kind) &&
+		(q.Trace == 0 || e.Trace == q.Trace)
+}
+
+// ParseQuery builds a Query from the text of its lock, agent, kind,
+// from and to filters, which get returns by name ("" = unset). Instants
+// are ns epochs or RFC3339 times (see ParseInstant).
+func ParseQuery(get func(name string) string) (Query, error) {
+	q := Query{Lock: get("lock"), Agent: get("agent")}
+	if v := get("kind"); v != "" {
+		if q.Kind = KindFromString(v); q.Kind == KindInvalid {
+			return q, fmt.Errorf("unknown kind %q", v)
+		}
+	}
+	var err error
+	if v := get("from"); v != "" {
+		if q.FromNs, err = ParseInstant(v); err != nil {
+			return q, fmt.Errorf("bad from %w", err)
+		}
+	}
+	if v := get("to"); v != "" {
+		if q.ToNs, err = ParseInstant(v); err != nil {
+			return q, fmt.Errorf("bad to %w", err)
+		}
+	}
+	return q, nil
 }
 
 // Hold is one open tenure in a timeline cut.
@@ -102,10 +127,7 @@ func StateAt(entries []MergedEntry, atNs int64) Cut {
 		if afterInstant(e.Entry, atNs, cutKey) {
 			break
 		}
-		lock := e.LockName
-		if lock == "" {
-			lock = fmt.Sprintf("lock#%d", e.Lock)
-		}
+		lock := e.LockLabel()
 		actor := mergedActor(e)
 		switch e.Kind {
 		case KindWait:
@@ -180,10 +202,7 @@ func Handoffs(entries []MergedEntry, lock string, beforeNs int64, n int) []Hando
 		if beforeNs > 0 && afterInstant(e.Entry, beforeNs, cutKey) {
 			break
 		}
-		name := e.LockName
-		if name == "" {
-			name = fmt.Sprintf("lock#%d", e.Lock)
-		}
+		name := e.LockLabel()
 		if name != lock {
 			continue
 		}
@@ -260,14 +279,12 @@ func ApplyOffsets(entries []MergedEntry, offsets map[string]int64) []MergedEntry
 	return out
 }
 
-// WriteTimeline renders a merged timeline as aligned text, one event
-// per line, oldest first — the locktimeline "history" view.
+// WriteTimeline renders a merged timeline as aligned text, one record
+// per line, oldest first: wall time, HLC, kind, origin, lock, actor,
+// then whichever of token, wait or hold duration, tag and trace the
+// record carries. It is the locktimeline "history" view.
 func WriteTimeline(w io.Writer, entries []MergedEntry) error {
 	for _, e := range entries {
-		lock := e.LockName
-		if lock == "" {
-			lock = fmt.Sprintf("lock#%d", e.Lock)
-		}
 		extra := ""
 		if e.Token != 0 {
 			extra += fmt.Sprintf(" token=%d", e.Token)
@@ -275,16 +292,19 @@ func WriteTimeline(w io.Writer, entries []MergedEntry) error {
 		if e.DurNs > 0 {
 			extra += fmt.Sprintf(" dur=%s", time.Duration(e.DurNs))
 		}
+		if e.Tag != 0 {
+			extra += fmt.Sprintf(" tag=%d", e.Tag)
+		}
 		if e.Trace != 0 {
-			extra += fmt.Sprintf(" trace=%016x", e.Trace)
+			extra += " trace=" + causal.TraceID(e.Trace).String()
 		}
 		hlcCol := "-"
 		if e.HLC != 0 {
 			hlcCol = fmt.Sprintf("%d.%d", e.HLC.WallNs(), e.HLC.Logical())
 		}
-		if _, err := fmt.Fprintf(w, "%s  %-22s %-12s %-24s %-20s%s\n",
-			e.At().UTC().Format("15:04:05.000000"), hlcCol, e.Kind, lock,
-			mergedActor(e), extra); err != nil {
+		if _, err := fmt.Fprintf(w, "%s  %-22s %-12s %-6s %-24s %-20s%s\n",
+			e.At().UTC().Format("15:04:05.000000"), hlcCol, e.Kind, e.Origin,
+			e.LockLabel(), mergedActor(e), extra); err != nil {
 			return err
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -764,14 +765,16 @@ func (c *Client) acquireAttempts(ctx context.Context, lock string, opts AcquireO
 		}
 		rpcStart := time.Now().UnixNano()
 		resp, err := c.roundTrip(ctx, req)
-		rpcAttrs := map[string]string{"attempt": fmt.Sprintf("%d", attempt)}
-		switch {
-		case err != nil:
-			rpcAttrs["error"] = err.Error()
-		case !resp.OK:
-			rpcAttrs["code"] = resp.Code
+		if tc != nil {
+			rpcAttrs := map[string]string{"attempt": strconv.Itoa(attempt)}
+			switch {
+			case err != nil:
+				rpcAttrs["error"] = err.Error()
+			case !resp.OK:
+				rpcAttrs["code"] = resp.Code
+			}
+			tc.child("rpc", rpcStart, rpcAttrs)
 		}
-		tc.child("rpc", rpcStart, rpcAttrs)
 		if err != nil {
 			if errors.Is(err, ErrConnLost) {
 				last = err

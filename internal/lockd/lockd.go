@@ -878,7 +878,7 @@ func (s *Server) recordWait(q *queueWait, kind journal.Kind, outcome string, tok
 		if tok != 0 {
 			s.cfg.Graph.SetHolder(name, q.actor)
 			span.Attrs["token"] = strconv.FormatUint(tok, 10)
-			exit.kind, exit.detail = "acquire", fmt.Sprintf("token=%d trace=%s", tok, q.tr)
+			exit.kind, exit.detail = "acquire", "token="+strconv.FormatUint(tok, 10)+" trace="+q.tr.String()
 		}
 		s.cfg.Recorder.Record(span)
 		s.cfg.Flight.Record(name, exit.kind, q.actor, exit.detail)

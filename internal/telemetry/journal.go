@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"path/filepath"
 	"strconv"
-	"time"
 
+	"repro/internal/causal"
 	"repro/internal/journal"
 )
 
@@ -16,7 +16,7 @@ import (
 // filtered records as JSON (time range, lock, agent, kind), and the raw
 // segment files are listable and downloadable so an operator can pull a
 // crashed process's flight journal off a live telemetry port and replay
-// it offline with cmd/lockjournal.
+// it offline with cmd/locktimeline.
 
 // SetJournal attaches the event journal served by /debug/journal. A nil
 // j detaches it (the endpoints then 404).
@@ -60,65 +60,39 @@ type journalEntryJSON struct {
 	Trace  string `json:"trace,omitempty"`
 }
 
-// parseInstant accepts a nanosecond epoch integer or an RFC3339
-// timestamp.
-func parseInstant(s string) (int64, error) {
-	if ns, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return ns, nil
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
+// parseQuery reads the ?lock=, ?agent=, ?kind=, ?from=, ?to= (ns epoch
+// or RFC3339) and ?limit=N parameters that /debug/journal and
+// /debug/timeline share. On a malformed one it writes the 400 JSON
+// error and returns false.
+func parseQuery(w http.ResponseWriter, req *http.Request) (journal.Query, bool) {
+	v := req.URL.Query()
+	q, err := journal.ParseQuery(v.Get)
 	if err != nil {
-		return 0, err
+		jsonError(w, http.StatusBadRequest, "telemetry: %v", err)
+		return q, false
 	}
-	return t.UnixNano(), nil
+	if s := v.Get("limit"); s != "" {
+		if q.Limit, err = strconv.Atoi(s); err != nil || q.Limit <= 0 {
+			jsonError(w, http.StatusBadRequest, "telemetry: limit must be a positive integer")
+			return q, false
+		}
+	}
+	return q, true
 }
 
-// handleJournal serves filtered journal records as JSON:
-// ?lock=, ?agent=, ?kind=, ?from=, ?to= (ns epoch or RFC3339),
-// ?limit=N (most recent N after filtering).
+// handleJournal serves filtered journal records as JSON, oldest first
+// (see parseQuery; ?limit keeps the most recent N). Its time bounds cut
+// on raw wall instants.
 func (r *Registry) handleJournal(w http.ResponseWriter, req *http.Request) {
 	j := r.eventJournal()
 	if j == nil {
 		jsonError(w, http.StatusNotFound, "telemetry: no event journal attached")
 		return
 	}
-	q := req.URL.Query()
-	var from, to int64
-	to = 1<<63 - 1
-	if v := q.Get("from"); v != "" {
-		ns, err := parseInstant(v)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "telemetry: bad from instant: %v", err)
-			return
-		}
-		from = ns
+	q, ok := parseQuery(w, req)
+	if !ok {
+		return
 	}
-	if v := q.Get("to"); v != "" {
-		ns, err := parseInstant(v)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "telemetry: bad to instant: %v", err)
-			return
-		}
-		to = ns
-	}
-	var kind journal.Kind
-	if v := q.Get("kind"); v != "" {
-		kind = journal.KindFromString(v)
-		if kind == journal.KindInvalid {
-			jsonError(w, http.StatusBadRequest, "telemetry: unknown kind %q", v)
-			return
-		}
-	}
-	limit := 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			jsonError(w, http.StatusBadRequest, "telemetry: limit must be a positive integer")
-			return
-		}
-		limit = n
-	}
-	lockFilter, agentFilter := q.Get("lock"), q.Get("agent")
 
 	j.Flush() // make everything appended so far readable
 	entries, _, err := journal.ReadDir(j.Dir())
@@ -128,16 +102,7 @@ func (r *Registry) handleJournal(w http.ResponseWriter, req *http.Request) {
 	}
 	docs := make([]journalEntryJSON, 0, len(entries))
 	for _, e := range entries {
-		if e.AtNs < from || e.AtNs > to {
-			continue
-		}
-		if lockFilter != "" && e.LockName != lockFilter {
-			continue
-		}
-		if agentFilter != "" && e.AgentName != agentFilter {
-			continue
-		}
-		if kind != journal.KindInvalid && e.Kind != kind {
+		if e.AtNs < q.FromNs || q.ToNs != 0 && e.AtNs > q.ToNs || !q.Matches(e) {
 			continue
 		}
 		doc := journalEntryJSON{
@@ -146,12 +111,12 @@ func (r *Registry) handleJournal(w http.ResponseWriter, req *http.Request) {
 			Seq: e.Seq, DurNs: e.DurNs, Token: e.Token, Tag: e.Tag,
 		}
 		if e.Trace != 0 {
-			doc.Trace = fmt.Sprintf("%016x", e.Trace)
+			doc.Trace = causal.TraceID(e.Trace).String()
 		}
 		docs = append(docs, doc)
 	}
-	if limit > 0 && len(docs) > limit {
-		docs = docs[len(docs)-limit:]
+	if q.Limit > 0 && len(docs) > q.Limit {
+		docs = docs[len(docs)-q.Limit:]
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

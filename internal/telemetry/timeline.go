@@ -2,12 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 
 	"repro/internal/buildinfo"
+	"repro/internal/causal"
 	"repro/internal/journal"
 )
 
@@ -57,49 +56,19 @@ type timelineEntryJSON struct {
 }
 
 // handleTimeline serves the attached journal as an HLC-ordered
-// timeline: ?lock=, ?agent=, ?kind=, ?from=, ?to= (ns epoch or
-// RFC3339), ?limit=N, ?format=text|json (default text — the same line
-// format cmd/locktimeline prints).
+// timeline, filtered by the parseQuery parameters with time bounds cut
+// in HLC order; ?format=text|json (default text — the same line format
+// cmd/locktimeline prints).
 func (r *Registry) handleTimeline(w http.ResponseWriter, req *http.Request) {
 	j := r.eventJournal()
 	if j == nil {
 		jsonError(w, http.StatusNotFound, "telemetry: no event journal attached")
 		return
 	}
-	q := req.URL.Query()
-	var query journal.Query
-	if v := q.Get("from"); v != "" {
-		ns, err := parseInstant(v)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "telemetry: bad from instant: %v", err)
-			return
-		}
-		query.FromNs = ns
+	query, ok := parseQuery(w, req)
+	if !ok {
+		return
 	}
-	if v := q.Get("to"); v != "" {
-		ns, err := parseInstant(v)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "telemetry: bad to instant: %v", err)
-			return
-		}
-		query.ToNs = ns
-	}
-	if v := q.Get("kind"); v != "" {
-		query.Kind = journal.KindFromString(v)
-		if query.Kind == journal.KindInvalid {
-			jsonError(w, http.StatusBadRequest, "telemetry: unknown kind %q", v)
-			return
-		}
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			jsonError(w, http.StatusBadRequest, "telemetry: limit must be a positive integer")
-			return
-		}
-		query.Limit = n
-	}
-	query.Lock, query.Agent = q.Get("lock"), q.Get("agent")
 
 	j.Flush()
 	entries, _, err := journal.ReadDir(j.Dir())
@@ -110,7 +79,7 @@ func (r *Registry) handleTimeline(w http.ResponseWriter, req *http.Request) {
 	merged := journal.FilterMerged(
 		journal.Merge([]journal.ProcEntries{{Proc: "local", Entries: entries}}), query)
 
-	if q.Get("format") == "json" {
+	if req.URL.Query().Get("format") == "json" {
 		docs := make([]timelineEntryJSON, 0, len(merged))
 		for _, e := range merged {
 			doc := timelineEntryJSON{
@@ -120,7 +89,7 @@ func (r *Registry) handleTimeline(w http.ResponseWriter, req *http.Request) {
 				Token: e.Token, DurNs: e.DurNs,
 			}
 			if e.Trace != 0 {
-				doc.Trace = fmt.Sprintf("%016x", e.Trace)
+				doc.Trace = causal.TraceID(e.Trace).String()
 			}
 			docs = append(docs, doc)
 		}
