@@ -10,7 +10,7 @@
 //	lockd -serve :9090                 # also expose /metrics telemetry
 //	lockd -serve :9090 -serve-for 30s  # scripted run: exit after 30s
 //	lockd -faults conn-drop:every=20   # chaos mode: drop every 20th reply
-//	lockd -journal-dir /var/lock/jrnl  # black-box event journal (cmd/lockjournal reads it)
+//	lockd -journal-dir /var/lock/jrnl  # black-box event journal (cmd/locktimeline reads it)
 //	lockd -replica-id 1 -peers "1@host1:7700,2@host2:7700,3@host3:7700"
 //	                                   # replicated cluster member (see internal/replica)
 //
